@@ -1,12 +1,12 @@
 //! Sweep-shared memoization of Markov uptime estimates.
 //!
-//! Profiling adaptive sweeps shows ~80% of wall-clock inside this crate:
-//! every Markov-Daly reschedule rebuilds a 48-hour transition model and
-//! propagates up to 600 masked matrix-vector products through it. Across
-//! a sweep's cells those models and estimates repeat heavily — runs at
-//! overlapping starts walk the same absolute history windows — so a
-//! [`UptimeMemo`] caches both layers: built [`MarkovModel`]s, and the
-//! scalar expected/average-uptime results queried from them.
+//! Every Markov-Daly reschedule and Threshold decision needs a 48-hour
+//! transition model and up to 600 masked propagation steps through it
+//! (see [`crate::uptime`]). Across a sweep's cells those models and
+//! estimates repeat heavily — runs at overlapping starts walk the same
+//! absolute history windows — so a [`UptimeMemo`] caches both layers:
+//! built [`MarkovModel`]s, and the scalar expected/average-uptime results
+//! queried from them.
 //!
 //! # Keying and determinism
 //!

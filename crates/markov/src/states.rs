@@ -78,9 +78,11 @@ impl StateSpace {
         Price::from_millis(self.levels[state])
     }
 
-    /// Indicator vector `I(i) = 1 iff price_i ≤ bid` (Appendix B, Eq. 2).
-    pub fn up_mask(&self, bid: Price) -> Vec<bool> {
-        self.levels.iter().map(|&l| l <= bid.millis()).collect()
+    /// The number of *up* states at `bid`, those with `price_i ≤ bid`
+    /// (the indicator `I(i)` of Appendix B, Eq. 2). Levels are sorted, so
+    /// the up states are exactly `0..up_count(bid)`.
+    pub fn up_count(&self, bid: Price) -> usize {
+        self.levels.partition_point(|&l| l <= bid.millis())
     }
 }
 
@@ -114,12 +116,13 @@ mod tests {
     }
 
     #[test]
-    fn up_mask_respects_bid() {
+    fn up_count_respects_bid() {
         let hist = vec![p(270), p(500), p(900)];
         let s = StateSpace::from_history(&hist, 10);
-        assert_eq!(s.up_mask(p(500)), vec![true, true, false]);
-        assert_eq!(s.up_mask(p(100)), vec![false, false, false]);
-        assert_eq!(s.up_mask(p(10_000)), vec![true, true, true]);
+        assert_eq!(s.up_count(p(500)), 2);
+        assert_eq!(s.up_count(p(499)), 1);
+        assert_eq!(s.up_count(p(100)), 0);
+        assert_eq!(s.up_count(p(10_000)), 3);
     }
 
     #[test]

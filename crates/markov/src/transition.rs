@@ -6,11 +6,17 @@ use redspot_trace::Price;
 /// A row-stochastic transition matrix `TRANS` where `TRANS[n][m]` is the
 /// probability of the spot price moving from state `n` to state `m` in one
 /// 5-minute step (Appendix B).
+///
+/// Stored sparse (CSR): a 48-hour history visits each state's few
+/// neighbours only, so most of the `n × n` cells are zero.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransitionMatrix {
-    n: usize,
-    /// Row-major probabilities.
-    probs: Vec<f64>,
+    /// Row `i`'s non-zeros are `row_ptr[i]..row_ptr[i + 1]`.
+    row_ptr: Vec<usize>,
+    /// Column of each non-zero, ascending within a row.
+    cols: Vec<u32>,
+    /// Probability of each non-zero.
+    vals: Vec<f64>,
 }
 
 impl TransitionMatrix {
@@ -26,66 +32,74 @@ impl TransitionMatrix {
             "need at least two samples for transitions"
         );
         let n = states.len();
-        let mut counts = vec![0u64; n * n];
-        for w in history.windows(2) {
-            let from = states.state_of(w[0]);
-            let to = states.state_of(w[1]);
+        let mut counts = vec![0u32; n * n];
+        let mut from = states.state_of(history[0]);
+        for &price in &history[1..] {
+            let to = states.state_of(price);
             counts[from * n + to] += 1;
+            from = to;
         }
-        let mut probs = vec![0.0f64; n * n];
-        for row in 0..n {
-            let total: u64 = counts[row * n..(row + 1) * n].iter().sum();
+
+        // The dense counts are scratch: keep each row's non-zeros, or the
+        // self-loop of a state never seen as a source.
+        let nnz = counts
+            .chunks_exact(n)
+            .map(|row| row.iter().filter(|&&c| c > 0).count().max(1))
+            .sum();
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        let mut cols = Vec::with_capacity(nnz);
+        let mut vals = Vec::with_capacity(nnz);
+        row_ptr.push(0);
+        for (row, counts) in counts.chunks_exact(n).enumerate() {
+            let total: u32 = counts.iter().sum();
             if total == 0 {
-                probs[row * n + row] = 1.0;
+                cols.push(row as u32);
+                vals.push(1.0);
             } else {
-                for col in 0..n {
-                    probs[row * n + col] = counts[row * n + col] as f64 / total as f64;
+                for (col, &c) in counts.iter().enumerate().filter(|&(_, &c)| c > 0) {
+                    cols.push(col as u32);
+                    vals.push(c as f64 / total as f64);
                 }
             }
+            row_ptr.push(cols.len());
         }
-        TransitionMatrix { n, probs }
+        TransitionMatrix {
+            row_ptr,
+            cols,
+            vals,
+        }
     }
 
     /// Number of states.
     pub fn len(&self) -> usize {
-        self.n
+        self.row_ptr.len() - 1
     }
 
     /// Whether the matrix is empty (never true by construction).
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.len() == 0
     }
 
     /// Transition probability from state `from` to state `to`.
     pub fn prob(&self, from: usize, to: usize) -> f64 {
-        self.probs[from * self.n + to]
+        let (cols, vals) = self.row(from);
+        match cols.binary_search(&(to as u32)) {
+            Ok(k) => vals[k],
+            Err(_) => 0.0,
+        }
     }
 
-    /// One Chapman-Kolmogorov step restricted to *up* states (Eq. 2):
-    /// propagate `dist` through the chain, zeroing mass that sits in
-    /// masked-out (down) source states first. Returns the new distribution;
-    /// the lost mass is the termination probability at this step.
-    pub fn step_masked(&self, dist: &[f64], up: &[bool]) -> Vec<f64> {
-        debug_assert_eq!(dist.len(), self.n);
-        debug_assert_eq!(up.len(), self.n);
-        let mut next = vec![0.0f64; self.n];
-        for (i, (&mass, &alive)) in dist.iter().zip(up).enumerate() {
-            if !alive || mass == 0.0 {
-                continue;
-            }
-            let row = &self.probs[i * self.n..(i + 1) * self.n];
-            for (nx, &p) in next.iter_mut().zip(row) {
-                *nx += mass * p;
-            }
-        }
-        next
+    /// Row `from`'s non-zeros: ascending columns and their probabilities.
+    pub(crate) fn row(&self, from: usize) -> (&[u32], &[f64]) {
+        let span = self.row_ptr[from]..self.row_ptr[from + 1];
+        (&self.cols[span.clone()], &self.vals[span])
     }
 
     /// Each row sums to 1 (within tolerance) — used by tests and debug
     /// assertions.
     pub fn is_stochastic(&self) -> bool {
-        (0..self.n).all(|row| {
-            let s: f64 = self.probs[row * self.n..(row + 1) * self.n].iter().sum();
+        (0..self.len()).all(|row| {
+            let s: f64 = self.row(row).1.iter().sum();
             (s - 1.0).abs() < 1e-9
         })
     }
@@ -111,6 +125,7 @@ mod tests {
         assert!((t.prob(0, 1) - 0.5).abs() < 1e-12);
         // From 900: always back to 270.
         assert!((t.prob(1, 0) - 1.0).abs() < 1e-12);
+        assert_eq!(t.prob(1, 1), 0.0);
     }
 
     #[test]
@@ -124,19 +139,16 @@ mod tests {
     }
 
     #[test]
-    fn masked_step_absorbs_down_states() {
-        let hist = vec![p(270), p(900), p(270), p(900)];
+    fn rows_store_only_observed_transitions() {
+        // 270 -> {270, 310}, 310 -> 900, 900 -> 270; 500 never a source.
+        let hist = vec![p(270), p(270), p(310), p(900), p(270), p(500)];
         let s = StateSpace::from_history(&hist, 10);
         let t = TransitionMatrix::from_history(&s, &hist);
-        // Start fully in state 0 (price 270); bid only covers state 0.
-        let up = s.up_mask(p(500));
-        let d1 = t.step_masked(&[1.0, 0.0], &up);
-        // 270 always moves to 900 in this history: all mass lands in the
-        // down state.
-        assert!((d1[1] - 1.0).abs() < 1e-12);
-        // Next step: that mass is absorbed (terminated).
-        let d2 = t.step_masked(&d1, &up);
-        assert!(d2.iter().sum::<f64>() < 1e-12);
+        assert_eq!(t.len(), 4);
+        assert_eq!(t.row(0), (&[0u32, 1, 2][..], &[1.0 / 3.0; 3][..]));
+        assert_eq!(t.row(1), (&[3u32][..], &[1.0][..]));
+        assert_eq!(t.row(2), (&[2u32][..], &[1.0][..])); // self-loop
+        assert_eq!(t.row(3), (&[0u32][..], &[1.0][..]));
     }
 
     #[test]
