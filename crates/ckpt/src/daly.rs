@@ -4,8 +4,8 @@
 //! zone up-time into Daly's estimate of the optimum time between restart
 //! dumps [Daly, FGCS 2006]. Both the first-order estimate
 //! `t_opt = sqrt(2 δ M)` and the paper's higher-order refinement are
-//! provided; redspot uses the higher-order form by default and benches the
-//! difference (`ablate_daly`).
+//! provided; redspot uses the higher-order form by default and ablates the
+//! difference (`redspot ablate daly`).
 
 use redspot_trace::SimDuration;
 

@@ -2,6 +2,7 @@
 //! parser, and the surface is small).
 
 use redspot_core::Era;
+use redspot_exp::PaperSetup;
 use redspot_trace::bootstrap::BootstrapConfig;
 use redspot_trace::{Profile, SimDuration, TraceSource};
 use std::collections::BTreeMap;
@@ -14,6 +15,8 @@ const BOOL_FLAGS: &[&str] = &[
     "cache-stats",
     "force",
     "stdio",
+    "full",
+    "quick",
 ];
 
 /// Parsed flags plus positional arguments.
@@ -89,6 +92,44 @@ impl ParsedArgs {
         })
     }
 
+    /// The evaluation setup the paper experiments share: `--n COUNT`
+    /// experiments per window (default 16), `--seed`, `--threads`.
+    /// `--full` and `--quick` are shorthands for `--n 80` (paper scale)
+    /// and `--n 6`; naming more than one of the three, or `--n 0`, is an
+    /// error.
+    pub fn paper_setup(&self) -> Result<PaperSetup, String> {
+        self.at_most_one(&["full", "quick", "n"], "give one experiment count")?;
+        let n_experiments = if self.has("full") {
+            80
+        } else if self.has("quick") {
+            6
+        } else {
+            self.num_or("n", 16)?
+        };
+        if n_experiments == 0 {
+            return Err("--n 0: need at least one experiment".into());
+        }
+        let mut setup = PaperSetup::new(self.num_or("seed", 42)?, n_experiments);
+        setup.threads = self.num_or("threads", 0)?;
+        Ok(setup)
+    }
+
+    /// Error if more than one of `flags` was given.
+    fn at_most_one(&self, flags: &[&str], hint: &str) -> Result<(), String> {
+        let given: Vec<String> = flags
+            .iter()
+            .filter(|f| self.has(f))
+            .map(|f| format!("--{f}"))
+            .collect();
+        if given.len() > 1 {
+            return Err(format!(
+                "{} are mutually exclusive: {hint}",
+                given.join(" and ")
+            ));
+        }
+        Ok(())
+    }
+
     /// Whether any trace-source flag was given explicitly (as opposed to
     /// falling back to the generated default). Commands with no natural
     /// default market (`serve` preload) only resolve a source when this
@@ -105,17 +146,10 @@ impl ParsedArgs {
     /// otherwise `--profile` (default `high`, matching what the batch
     /// studies historically generated) synthesizes with `--seed`.
     pub fn trace_source(&self, seed: u64) -> Result<TraceSource, String> {
-        let exclusive: Vec<&str> = ["trace", "bootstrap-from", "profile"]
-            .into_iter()
-            .filter(|f| self.has(f))
-            .collect();
-        if exclusive.len() > 1 {
-            let list: Vec<String> = exclusive.iter().map(|f| format!("--{f}")).collect();
-            return Err(format!(
-                "{} are mutually exclusive: name one trace source",
-                list.join(" and ")
-            ));
-        }
+        self.at_most_one(
+            &["trace", "bootstrap-from", "profile"],
+            "name one trace source",
+        )?;
         if let Some(path) = self.get("trace") {
             return Ok(TraceSource::File { path: path.into() });
         }
@@ -180,12 +214,16 @@ USAGE:
   redspot validate-trace FILE.jsonl # check a --trace-out file line by line: schema,
                                     # finite non-negative prices, ordered timestamps
   redspot adaptive [--slack PCT] [--tc SECS] [--start HOURS] [--seed N]
-  redspot figure 2|4|5|6 [--n COUNT] [--seed N]
-  redspot table 2|3 [--n COUNT] [--seed N]
-  redspot headline [--n COUNT] [--seed N]
-  redspot var-analysis [--seed N]
+  redspot reproduce [SIZE]          # every figure, table and claim, paper order
+  redspot figure 2|4|5|6 [SIZE]     # 4-6 also take --svg DIR, --json FILE, --force
+  redspot table 2|3 [SIZE]
+  redspot headline [SIZE]
+  redspot var-analysis [SIZE]
   redspot queuing-delay [--seed N]
-  redspot spike-stress [--n COUNT] [--seed N]
+  redspot spike-stress [--n COUNT] [--seed N]   # Figure 6's $20.02-spike stress
+  redspot mechanics                 # Figures 1 and 3 as engine-run timelines
+  redspot robustness [SIZE]         # redundancy under market resampling
+  redspot ablate n|daly|history [SIZE]
   redspot chaos [--api | --api-only] [--n COUNT] [--seed N] [--intensities 0,0.3,0.6,1]
                                     # --api composes control-plane faults WITH the
                                     # infrastructure faults in the same runs; --api-only
@@ -210,7 +248,7 @@ USAGE:
                                     # on-demand rate, violations; --out writes the
                                     # comparison artifact as JSON; exits 1 on any
                                     # deadline violation
-  redspot markov-validation [--seed N] [--bid DOLLARS]
+  redspot markov-validation [SIZE] [--bid DOLLARS]   # default: $0.81, $1.61, $2.40
   redspot bootstrap --trace FILE --out FILE [--seed N] [--block-hours H] [--days D]
                     [--force]
   redspot workloads                 # list the workload catalog
@@ -257,6 +295,9 @@ source, resolved in this order:
                                     # seeded by --seed
 Naming more than one source is a usage error. Commands that write files
 (--out) refuse to overwrite an existing file unless --force is passed.
+
+SIZE: --n COUNT experiments per volatility window (default 16), --full
+(= --n 80, paper scale) or --quick (= --n 6), plus --seed N and --threads N.
 
 Flags --workload NAME (on run/adaptive) override C, t_c and iteration
 structure from the catalog.
@@ -354,6 +395,52 @@ mod tests {
         );
         assert!(parse(&["--threads", "x"]).unwrap().common().is_err());
         assert!(parse(&["--era", "2019"]).unwrap().common().is_err());
+    }
+
+    #[test]
+    fn paper_setup_defaults_and_size_shorthands() {
+        let setup = |args: &[&str]| parse(args).unwrap().paper_setup().unwrap();
+        let s = setup(&[]);
+        assert_eq!((s.n_experiments, s.seed, s.threads), (16, 42, 0));
+        assert_eq!(setup(&["--full"]).n_experiments, 80);
+        assert_eq!(setup(&["--quick"]).n_experiments, 6);
+        let s = setup(&["--n", "12", "--seed", "7", "--threads", "3"]);
+        assert_eq!((s.n_experiments, s.seed, s.threads), (12, 7, 3));
+        let s = setup(&["--quick", "--seed", "5", "--threads", "2"]);
+        assert_eq!((s.n_experiments, s.seed, s.threads), (6, 5, 2));
+    }
+
+    #[test]
+    fn bad_paper_args_are_rejected() {
+        assert!(parse(&["--bogus"]).is_err());
+        assert!(parse(&["--n"]).is_err());
+        for bad in [
+            &["--n", "zero"][..],
+            &["--n", "0"],
+            &["--seed", "x"],
+            &["--threads", "-1"],
+        ] {
+            assert!(parse(bad).unwrap().paper_setup().is_err(), "{bad:?}");
+        }
+        for clash in [
+            &["--full", "--quick"][..],
+            &["--full", "--n", "4"],
+            &["--quick", "--n", "4"],
+        ] {
+            let Err(err) = parse(clash).unwrap().paper_setup() else {
+                panic!("{clash:?} accepted");
+            };
+            assert!(err.contains("mutually exclusive"), "{err}");
+        }
+    }
+
+    #[test]
+    fn svg_and_json_flags_need_a_value() {
+        let a = parse(&["--svg", "/tmp/figs", "--json", "/tmp/out.json"]).unwrap();
+        assert_eq!(a.get("svg"), Some("/tmp/figs"));
+        assert_eq!(a.get("json"), Some("/tmp/out.json"));
+        assert!(parse(&["--svg"]).is_err());
+        assert!(parse(&["--json"]).is_err());
     }
 
     #[test]

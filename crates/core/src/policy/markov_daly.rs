@@ -26,8 +26,8 @@ pub const MARKOV_BIN_MILLIS: u64 = 50;
 pub struct MarkovDalyPolicy {
     /// Scheduled checkpoint time `T_s`.
     ts: Option<SimTime>,
-    /// Which Daly estimate to use (higher-order by default; the
-    /// `ablate_daly` bench compares).
+    /// Which Daly estimate to use (higher-order by default; `redspot
+    /// ablate daly` compares).
     order: DalyOrder,
     /// Cached per-zone models plus the 5-minute step they were built at
     /// (unused when a shared memo is attached — the memo holds the models).

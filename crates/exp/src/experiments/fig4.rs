@@ -2,7 +2,7 @@
 //! checkpoint policies vs best-case redundancy, per volatility window and
 //! slack value, at the three highlighted bids.
 
-use crate::report::{median, LabeledBox};
+use crate::report::{median, panel_letter, render_panels, LabeledBox};
 use crate::setup::PaperSetup;
 use crate::sweep::{best_by_median, redundant_costs, single_zone_costs};
 use redspot_core::PolicyKind;
@@ -142,6 +142,22 @@ pub fn panel_from_cell(cell: CellData) -> Fig4Panel {
     Fig4Panel { cell, rows }
 }
 
+/// Panel `i`'s title.
+pub fn title(i: usize, panel: &Fig4Panel) -> String {
+    format!(
+        "Figure 4({}) — {} volatility, slack {}%, t_c = {} s",
+        panel_letter(i),
+        panel.cell.volatility,
+        panel.cell.slack_pct,
+        panel.cell.tc_secs,
+    )
+}
+
+/// Render the panels as titled boxplots separated by blank lines.
+pub fn render(panels: &[Fig4Panel]) -> String {
+    render_panels(panels, title, |p| p.rows.clone())
+}
+
 /// The paper's headline Figure-4 observation for high volatility at low
 /// slack: best-case redundancy vs best single-zone, as a relative saving
 /// (positive = redundancy cheaper).
@@ -159,7 +175,7 @@ mod tests {
 
     fn quick_cell(vol: Volatility) -> CellData {
         // Periodic + Markov-Daly only (Edge/Threshold sweeps are slower
-        // and exercised by the binaries); two bids.
+        // and exercised by `redspot figure 4`); two bids.
         let setup = PaperSetup::quick(11);
         let base = setup.base_config(15, 300);
         let bids = [Price::from_millis(810)];

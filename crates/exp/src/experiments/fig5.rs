@@ -2,7 +2,7 @@
 //! Markov-Daly, and best-case redundancy, across the full evaluation grid
 //! (volatility × checkpoint cost × slack — eight panels).
 
-use crate::report::{median, LabeledBox};
+use crate::report::{median, panel_letter, render_panels, LabeledBox};
 use crate::setup::PaperSetup;
 use crate::sweep::{adaptive_costs, best_by_median, redundant_costs, single_zone_costs};
 use redspot_core::PolicyKind;
@@ -102,6 +102,22 @@ pub fn fig5(setup: &PaperSetup) -> Vec<Fig5Panel> {
         }
     }
     panels
+}
+
+/// Panel `i`'s title.
+pub fn title(i: usize, panel: &Fig5Panel) -> String {
+    format!(
+        "Figure 5({}) — {} volatility, t_c = {} s, slack {}%",
+        panel_letter(i),
+        panel.volatility,
+        panel.tc_secs,
+        panel.slack_pct,
+    )
+}
+
+/// Render the panels as titled boxplots separated by blank lines.
+pub fn render(panels: &[Fig5Panel]) -> String {
+    render_panels(panels, title, Fig5Panel::rows)
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! but its *worst case* reaches multiples of the on-demand cost, and the
 //! sweet-spot threshold is unknowable in advance.
 
-use crate::report::{maximum, median, LabeledBox};
+use crate::report::{maximum, median, panel_letter, render_panels, LabeledBox};
 use crate::setup::PaperSetup;
 use crate::sweep::{adaptive_costs, large_bid_costs};
 use redspot_trace::vol::Volatility;
@@ -20,6 +20,42 @@ pub fn threshold_grid() -> Vec<Price> {
         Price::from_millis(5_000),
         Price::MAX_OBSERVED_SPOT,
     ]
+}
+
+/// The Large-bid variants: `(label, threshold)` per [`threshold_grid`]
+/// entry, then the thresholdless Naive variant.
+fn variants() -> Vec<(String, Option<Price>)> {
+    let mut variants: Vec<(String, Option<Price>)> = threshold_grid()
+        .into_iter()
+        .map(|l| {
+            let label = if l == Price::MAX_OBSERVED_SPOT {
+                "Max".to_string()
+            } else {
+                l.to_string()
+            };
+            (label, Some(l))
+        })
+        .collect();
+    variants.push(("Naive".into(), None));
+    variants
+}
+
+/// Boxplot rows: each Large-bid variant, then Adaptive.
+fn rows(large_bid: &[(String, Vec<f64>)], adaptive: &[f64]) -> Vec<LabeledBox> {
+    large_bid
+        .iter()
+        .filter_map(|(l, c)| LabeledBox::from_costs(format!("L={l}"), c))
+        .chain(LabeledBox::from_costs("Adaptive", adaptive))
+        .collect()
+}
+
+/// Worst Large-bid cost across all variants relative to on-demand ($48).
+fn large_bid_worst_vs_od(large_bid: &[(String, Vec<f64>)]) -> f64 {
+    large_bid
+        .iter()
+        .map(|(_, c)| maximum(c))
+        .fold(0.0f64, f64::max)
+        / 48.0
 }
 
 /// One Figure-6 panel (one volatility window, one `(t_c, slack)` cell).
@@ -39,21 +75,13 @@ pub struct Fig6Panel {
 impl Fig6Panel {
     /// Boxplot rows: each Large-bid threshold, then Adaptive.
     pub fn rows(&self) -> Vec<LabeledBox> {
-        self.large_bid
-            .iter()
-            .filter_map(|(l, c)| LabeledBox::from_costs(format!("L={l}"), c))
-            .chain(LabeledBox::from_costs("Adaptive", &self.adaptive))
-            .collect()
+        rows(&self.large_bid, &self.adaptive)
     }
 
     /// Worst observed Large-bid cost across all thresholds, relative to
     /// on-demand ($48) — the paper reports up to 3.8×.
     pub fn large_bid_worst_vs_od(&self) -> f64 {
-        self.large_bid
-            .iter()
-            .map(|(_, c)| maximum(c))
-            .fold(0.0f64, f64::max)
-            / 48.0
+        large_bid_worst_vs_od(&self.large_bid)
     }
 
     /// Worst Adaptive cost relative to on-demand.
@@ -74,18 +102,10 @@ impl Fig6Panel {
 /// Compute one panel.
 pub fn panel(setup: &PaperSetup, vol: Volatility, tc_secs: u64, slack_pct: u64) -> Fig6Panel {
     let base = setup.base_config(slack_pct, tc_secs);
-    let mut large_bid: Vec<(String, Vec<f64>)> = threshold_grid()
+    let large_bid = variants()
         .into_iter()
-        .map(|l| {
-            let label = if l == Price::MAX_OBSERVED_SPOT {
-                "Max".to_string()
-            } else {
-                l.to_string()
-            };
-            (label, large_bid_costs(setup, vol, &base, Some(l)))
-        })
+        .map(|(label, l)| (label, large_bid_costs(setup, vol, &base, l)))
         .collect();
-    large_bid.push(("Naive".into(), large_bid_costs(setup, vol, &base, None)));
     let adaptive = adaptive_costs(setup, vol, &base);
     Fig6Panel {
         volatility: vol,
@@ -105,6 +125,22 @@ pub fn fig6(setup: &PaperSetup) -> Vec<Fig6Panel> {
         .collect()
 }
 
+/// Panel `i`'s title.
+pub fn title(i: usize, panel: &Fig6Panel) -> String {
+    format!(
+        "Figure 6({}) — {} volatility, t_c = {} s, slack {}%",
+        panel_letter(i),
+        panel.volatility,
+        panel.tc_secs,
+        panel.slack_pct,
+    )
+}
+
+/// Render the panels as titled boxplots separated by blank lines.
+pub fn render(panels: &[Fig6Panel]) -> String {
+    render_panels(panels, title, Fig6Panel::rows)
+}
+
 /// The worst-case stress panel behind the paper's "as high as 3.8x the
 /// on-demand costs" observation: experiments bracketing the $20.02
 /// extreme spike in the 12-month history ("March 13th to 14th, 2013").
@@ -120,11 +156,7 @@ pub struct SpikeStress {
 impl SpikeStress {
     /// Worst Large-bid cost across all variants relative to on-demand.
     pub fn large_bid_worst_vs_od(&self) -> f64 {
-        self.large_bid
-            .iter()
-            .map(|(_, c)| maximum(c))
-            .fold(0.0f64, f64::max)
-            / 48.0
+        large_bid_worst_vs_od(&self.large_bid)
     }
 
     /// Worst Adaptive cost relative to on-demand.
@@ -134,11 +166,7 @@ impl SpikeStress {
 
     /// Boxplot rows, Adaptive last.
     pub fn rows(&self) -> Vec<LabeledBox> {
-        self.large_bid
-            .iter()
-            .filter_map(|(l, c)| LabeledBox::from_costs(format!("L={l}"), c))
-            .chain(LabeledBox::from_costs("Adaptive", &self.adaptive))
-            .collect()
+        rows(&self.large_bid, &self.adaptive)
     }
 }
 
@@ -148,7 +176,7 @@ pub fn spike_stress(seed: u64, n_starts: usize) -> SpikeStress {
     use crate::scheme::{run_spec, RunSpec, Scheme};
     use redspot_core::{ExperimentConfig, MarketCtx, NullRecorder};
     use redspot_trace::gen::year_history;
-    use redspot_trace::{SimDuration, SimTime, ZoneId};
+    use redspot_trace::{SimTime, ZoneId};
 
     let mkt = MarketCtx::new(year_history(seed));
     // The spike starts at month 3 + 13 days (see redspot_trace::gen).
@@ -160,22 +188,9 @@ pub fn spike_stress(seed: u64, n_starts: usize) -> SpikeStress {
         })
         .collect();
     let base = ExperimentConfig::paper_default();
-    let _ = SimDuration::ZERO;
 
     let mut large_bid: Vec<(String, Vec<f64>)> = Vec::new();
-    let mut thresholds: Vec<(String, Option<Price>)> = threshold_grid()
-        .into_iter()
-        .map(|l| {
-            let label = if l == Price::MAX_OBSERVED_SPOT {
-                "Max".to_string()
-            } else {
-                l.to_string()
-            };
-            (label, Some(l))
-        })
-        .collect();
-    thresholds.push(("Naive".into(), None));
-    for (label, threshold) in thresholds {
+    for (label, threshold) in variants() {
         let costs: Vec<f64> = starts
             .iter()
             .map(|&start| {

@@ -1,7 +1,8 @@
 //! One module per paper experiment (figure/table). Each computes a
 //! structured result and offers a `render` for terminal output; the
-//! `redspot-bench` binaries and the CLI drive these.
+//! `redspot` CLI drives these, one subcommand per experiment.
 
+pub mod ablation;
 pub mod chaos;
 pub mod chaos_api;
 pub mod chaos_fleet;

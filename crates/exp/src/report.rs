@@ -78,6 +78,26 @@ pub fn boxplot_panel(title: &str, rows: &[LabeledBox], refs: &[(f64, &str)]) -> 
     out
 }
 
+/// The letter of panel `i` in a multi-panel figure: (a), (b), ….
+pub fn panel_letter(i: usize) -> char {
+    char::from(b'a' + i as u8)
+}
+
+/// Render titled boxplot panels separated by blank lines — the layout of
+/// every multi-panel cost figure.
+pub fn render_panels<P>(
+    panels: &[P],
+    title: fn(usize, &P) -> String,
+    rows: fn(&P) -> Vec<LabeledBox>,
+) -> String {
+    let rendered: Vec<String> = panels
+        .iter()
+        .enumerate()
+        .map(|(i, p)| boxplot_panel(&title(i, p), &rows(p), &REF_LINES))
+        .collect();
+    rendered.join("\n")
+}
+
 /// Render a markdown table.
 pub fn markdown_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut out = String::new();

@@ -2,7 +2,6 @@
 //! as JSON for downstream plotting or regression tracking.
 
 use crate::experiments::{fig4, fig5, fig6};
-use crate::report::LabeledBox;
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::Path;
@@ -37,24 +36,6 @@ pub struct PanelJson {
     pub title: String,
     /// The series, in display order.
     pub series: Vec<SeriesJson>,
-}
-
-impl PanelJson {
-    /// Convert boxplot rows (loses raw samples — prefer the dedicated
-    /// converters below when samples are available).
-    pub fn from_rows(title: impl Into<String>, rows: &[LabeledBox]) -> PanelJson {
-        PanelJson {
-            title: title.into(),
-            series: rows
-                .iter()
-                .map(|r| SeriesJson {
-                    label: r.label.clone(),
-                    samples: Vec::new(),
-                    median: r.plot.median,
-                })
-                .collect(),
-        }
-    }
 }
 
 /// Convert a Figure-4 panel, raw samples included.
@@ -147,13 +128,5 @@ mod tests {
         let path = dir.join("panels.json");
         save(&path, &panels).unwrap();
         assert_eq!(load(&path).unwrap(), panels);
-    }
-
-    #[test]
-    fn from_rows_keeps_medians() {
-        let rows = vec![LabeledBox::from_costs("a", &[2.0, 4.0]).unwrap()];
-        let p = PanelJson::from_rows("t", &rows);
-        assert_eq!(p.series[0].median, 3.0);
-        assert!(p.series[0].samples.is_empty());
     }
 }

@@ -6,7 +6,6 @@
 //! **booting** state covering the measured spot queuing delay between
 //! request submission and the instance being usable.
 
-use crate::billing::SpotBilling;
 use redspot_trace::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -47,41 +46,9 @@ impl InstanceState {
     }
 }
 
-/// One zone's instance bookkeeping: lifecycle state plus the billing meter
-/// for the current run, if any.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ZoneInstance {
-    /// Lifecycle state.
-    pub state: InstanceState,
-    /// Billing meter; `Some` exactly while [`InstanceState::is_billable`].
-    pub billing: Option<SpotBilling>,
-}
-
-impl ZoneInstance {
-    /// A zone with no instance.
-    pub fn down() -> ZoneInstance {
-        ZoneInstance {
-            state: InstanceState::Down,
-            billing: None,
-        }
-    }
-
-    /// Internal consistency between state and billing meter.
-    pub fn is_consistent(&self) -> bool {
-        self.state.is_billable() == self.billing.is_some()
-    }
-}
-
-impl Default for ZoneInstance {
-    fn default() -> ZoneInstance {
-        ZoneInstance::down()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use redspot_trace::Price;
 
     #[test]
     fn billable_states() {
@@ -100,21 +67,5 @@ mod tests {
         assert!(!InstanceState::Waiting.is_up());
         assert!(InstanceState::Waiting.is_waiting());
         assert!(!InstanceState::Down.is_waiting());
-    }
-
-    #[test]
-    fn consistency_invariant() {
-        let down = ZoneInstance::down();
-        assert!(down.is_consistent());
-        let bad = ZoneInstance {
-            state: InstanceState::Up,
-            billing: None,
-        };
-        assert!(!bad.is_consistent());
-        let good = ZoneInstance {
-            state: InstanceState::Up,
-            billing: Some(SpotBilling::launch(SimTime::ZERO, Price::from_dollars(0.3))),
-        };
-        assert!(good.is_consistent());
     }
 }

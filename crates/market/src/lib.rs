@@ -1,12 +1,12 @@
 //! # redspot-market
 //!
-//! EC2 market substrate: the 2014 spot billing rules (hour-boundary rate
-//! fixing, free out-of-bid partial hours, charged user-stopped hours,
-//! $2.40/h on-demand), the measured spot queuing-delay model, per-zone
-//! instance lifecycle states (down / waiting / booting / up), and a
-//! trace-driven [`SpotMarket`] façade the scheduling engine drives, plus
-//! seeded per-zone blackout schedules for fault injection and a fallible
-//! [`CloudApi`] control plane with deterministic fault injection.
+//! EC2 market substrate: the billing eras behind [`MarketRules`] (the
+//! paper's 2014 hour-boundary rules, with [`SpotBilling`] as their
+//! reference meter, and post-2017 per-second billing), the measured spot
+//! queuing-delay model, per-zone instance lifecycle states (down /
+//! waiting / booting / up), seeded per-zone blackout schedules for fault
+//! injection, shared spot capacity pools, and a fallible [`CloudApi`]
+//! control plane with deterministic fault injection.
 
 #![warn(missing_docs)]
 
@@ -15,7 +15,6 @@ pub mod billing;
 pub mod capacity;
 pub mod delay;
 pub mod instance;
-pub mod market;
 pub mod outage;
 pub mod rules;
 
@@ -23,7 +22,6 @@ pub use api::{ApiError, ApiFaultPlan, ApiOk, ApiResult, CloudApi, FaultyApi, Per
 pub use billing::{on_demand_cost, SpotBilling, StopCause};
 pub use capacity::{CapacityPool, ContendedApi, PoolStats};
 pub use delay::DelayModel;
-pub use instance::{InstanceState, ZoneInstance};
-pub use market::SpotMarket;
+pub use instance::InstanceState;
 pub use outage::{OutageSchedule, OutageWindow};
 pub use rules::{Classic2014, Era, MarketRules, Meter, Modern2017};

@@ -85,7 +85,7 @@ impl Boxplot {
 
 /// Render one boxplot as a fixed-width ASCII row spanning `[lo, hi]`,
 /// `width` characters wide: `|--[==M==]--|` with outliers elided.
-/// Used by the figure-regeneration binaries to draw Figures 4–6 in the
+/// Used by the `redspot` figure subcommands to draw Figures 4–6 in the
 /// terminal.
 pub fn render_row(b: &Boxplot, lo: f64, hi: f64, width: usize) -> String {
     let width = width.max(10);

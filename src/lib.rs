@@ -61,7 +61,7 @@ pub mod prelude {
         on_demand_run, AdaptiveConfig, AdaptiveRunner, Engine, ExperimentConfig, ForecastMode,
         PolicyKind, RunResult,
     };
-    pub use redspot_market::{DelayModel, SpotMarket};
+    pub use redspot_market::DelayModel;
     pub use redspot_trace::bootstrap::{resample, BootstrapConfig};
     pub use redspot_trace::gen::GenConfig;
     pub use redspot_trace::{
