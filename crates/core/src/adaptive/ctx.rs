@@ -51,20 +51,6 @@ impl MarketCtx {
         }
     }
 
-    /// Resolve a [`TraceSource`](redspot_trace::TraceSource) and wrap the
-    /// result like [`new`](Self::new) — the one-stop constructor for
-    /// subcommands that name their market as a source instead of plumbing
-    /// a loaded trace set around.
-    pub fn from_source(source: &redspot_trace::TraceSource) -> Result<MarketCtx, String> {
-        Ok(MarketCtx::new(source.resolve()?))
-    }
-
-    /// Resolve a [`TraceSource`](redspot_trace::TraceSource) and wrap the
-    /// result like [`for_sweep`](Self::for_sweep).
-    pub fn for_sweep_from_source(source: &redspot_trace::TraceSource) -> Result<MarketCtx, String> {
-        Ok(MarketCtx::for_sweep(source.resolve()?))
-    }
-
     /// Wrap `traces` for a sweep: additionally pre-buckets every sample
     /// of every zone against the default adaptive bid grid (the grid all
     /// paper sweeps use), so each cell's scan builds become array

@@ -596,12 +596,6 @@ impl DecisionSession {
             remaining_time,
         )
     }
-
-    /// Cache hits/misses accumulated by this session's decisions (always
-    /// zero when the runner has no market context attached).
-    pub fn cache_tally(&self) -> CacheTally {
-        self.tally
-    }
 }
 
 #[cfg(test)]

@@ -482,11 +482,6 @@ impl PermutationScan {
         j
     }
 
-    /// Affordable-step count of one zone (by mask position) at a bid.
-    pub fn availability_count(&self, zone_pos: usize, bid_idx: usize) -> u64 {
-        self.avail[zone_pos][bid_idx]
-    }
-
     /// Rank zones by availability at `bids[bid_idx]` over the window and
     /// keep the top `n` (stable on ties by preferring lower zone index) —
     /// the scan-side equivalent of `AdaptiveRunner::top_zones`, identical

@@ -68,11 +68,6 @@ impl<R: Recorder> Engine<R> {
         self.zones[idx].inst
     }
 
-    /// Whether configured zone `idx` is active.
-    pub fn zone_active(&self, idx: usize) -> bool {
-        self.zones[idx].active
-    }
-
     /// The experiment configuration.
     pub fn config(&self) -> &ExperimentConfig {
         &self.cfg

@@ -32,11 +32,6 @@ impl TraceHandle {
     pub fn ptr_eq(&self, other: &TraceHandle) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
     }
-
-    /// The underlying shared allocation.
-    pub fn as_arc(&self) -> &Arc<TraceSet> {
-        &self.0
-    }
 }
 
 impl Deref for TraceHandle {

@@ -153,11 +153,6 @@ impl PriceSeries {
         idx > 0 && self.prices[idx] > self.prices[idx - 1]
     }
 
-    /// The instant the sample covering `t` begins.
-    pub fn step_start(&self, t: SimTime) -> SimTime {
-        self.start + SimDuration::from_secs(self.index_at(t) as u64 * self.step)
-    }
-
     /// Iterate over `(sample_start_time, price)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (SimTime, Price)> + '_ {
         self.prices
@@ -220,17 +215,6 @@ impl PriceSeries {
     /// Maximum price over the whole series.
     pub fn max_price(&self) -> Price {
         *self.prices.iter().max().expect("non-empty by construction")
-    }
-
-    /// Minimum price over the samples covering `[from, to)` looking
-    /// backwards — used by the Threshold policy, which tracks the minimum
-    /// observed spot price.
-    pub fn min_price_in(&self, window: Window) -> Price {
-        *self
-            .samples_in(window)
-            .iter()
-            .min()
-            .expect("samples_in returns at least one sample")
     }
 
     /// Mean price in dollars (reporting / calibration only).

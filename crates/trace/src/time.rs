@@ -145,11 +145,6 @@ impl SimDuration {
         self.0.checked_sub(rhs.0).map(SimDuration)
     }
 
-    /// Scale by an integer factor.
-    pub const fn scaled(self, factor: u64) -> SimDuration {
-        SimDuration(self.0 * factor)
-    }
-
     /// The shorter of two spans.
     pub fn min(self, other: SimDuration) -> SimDuration {
         if self <= other {
