@@ -47,8 +47,9 @@ use super::ForecastMode;
 pub struct TableRow {
     /// Bid price.
     pub bid: Price,
-    /// Active-zone mask over the experiment's configured zones.
-    pub mask: Vec<bool>,
+    /// The row's `(bid, N)` group: its active-zone mask is
+    /// [`DecisionTable::mask`] of this id.
+    pub group: u32,
     /// Checkpoint policy.
     pub kind: PolicyKind,
     /// Steady-state forecast of the permutation over the window.
@@ -58,7 +59,43 @@ pub struct TableRow {
 /// Every permutation's forecast at one decision point, in exact
 /// choose-iteration order (bid, then N, then policy) so replaying the
 /// ranking over a cached table is bit-identical to computing it inline.
-pub type DecisionTable = Vec<TableRow>;
+///
+/// All policies of one `(bid, N)` group share a zone mask, so each mask
+/// is stored once, in one flat buffer, rather than once per row: a
+/// sweep keeps thousands of tables alive.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct DecisionTable {
+    /// The rows, in choose-iteration order.
+    pub rows: Vec<TableRow>,
+    /// Zone count of every mask.
+    n_zones: usize,
+    /// The groups' masks, `n_zones` entries each, in group order.
+    masks: Vec<bool>,
+}
+
+impl DecisionTable {
+    /// An empty table over `n_zones` configured zones.
+    pub fn new(n_zones: usize) -> DecisionTable {
+        DecisionTable {
+            n_zones,
+            ..DecisionTable::default()
+        }
+    }
+
+    /// Start a `(bid, N)` group with active-zone `mask`, returning the id
+    /// its rows carry.
+    pub fn add_group(&mut self, mask: &[bool]) -> u32 {
+        assert_eq!(mask.len(), self.n_zones, "mask over the wrong zone count");
+        self.masks.extend_from_slice(mask);
+        (self.masks.len() / self.n_zones - 1) as u32
+    }
+
+    /// Group `group`'s active-zone mask.
+    pub fn mask(&self, group: u32) -> &[bool] {
+        let lo = group as usize * self.n_zones;
+        &self.masks[lo..lo + self.n_zones]
+    }
+}
 
 /// The window-independent part of a cache key: a full structural copy of
 /// everything the table depends on besides the probe grid. Interned to a
@@ -212,8 +249,11 @@ impl DecisionCache {
 
     /// Store `table` under `key`, returning the shared handle. If another
     /// thread raced the insert, its table wins (both are bit-identical by
-    /// construction, so either handle is correct).
-    pub fn insert(&self, key: TableKey, table: DecisionTable) -> Arc<DecisionTable> {
+    /// construction, so either handle is correct). Stored tables live as
+    /// long as the sweep, so their spare capacity is released first.
+    pub fn insert(&self, key: TableKey, mut table: DecisionTable) -> Arc<DecisionTable> {
+        table.rows.shrink_to_fit();
+        table.masks.shrink_to_fit();
         let mut shard = self.shard(key).lock().expect("shard poisoned");
         Arc::clone(shard.entry(key).or_insert_with(|| Arc::new(table)))
     }
@@ -267,12 +307,14 @@ mod tests {
             n_steps: 288,
         };
         assert!(cache.lookup(key).is_none());
-        let table = vec![TableRow {
+        let mut table = DecisionTable::new(2);
+        let group = table.add_group(&[true, false]);
+        table.rows.push(TableRow {
             bid: Price::from_millis(810),
-            mask: vec![true, false],
+            group,
             kind: PolicyKind::Periodic,
             forecast: Forecast::EMPTY,
-        }];
+        });
         let stored = cache.insert(key, table.clone());
         assert_eq!(*stored, table);
         let hit = cache.lookup(key).expect("inserted");
@@ -280,6 +322,15 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn groups_store_one_mask_each() {
+        let mut table = DecisionTable::new(3);
+        assert_eq!(table.add_group(&[true, false, false]), 0);
+        assert_eq!(table.add_group(&[true, false, true]), 1);
+        assert_eq!(table.mask(0), [true, false, false]);
+        assert_eq!(table.mask(1), [true, false, true]);
     }
 
     #[test]

@@ -341,7 +341,7 @@ impl AdaptiveRunner {
 
     /// Reference table builder: one full history walk per permutation.
     fn build_table_naive(&self, window: Window) -> DecisionTable {
-        let mut table = DecisionTable::new();
+        let mut table = DecisionTable::new(self.base.zones.len());
         for &bid in &self.acfg.bid_grid {
             if bid > self.acfg.max_bid {
                 continue;
@@ -358,11 +358,12 @@ impl AdaptiveRunner {
                     .zip(&mask)
                     .filter_map(|(&z, &m)| m.then_some(z))
                     .collect();
+                let group = table.add_group(&mask);
                 for &kind in &self.acfg.policy_kinds {
                     let f = estimate(&self.traces, &zone_ids, window, bid, self.base.costs, kind);
-                    table.push(TableRow {
+                    table.rows.push(TableRow {
                         bid,
-                        mask: mask.clone(),
+                        group,
                         kind,
                         forecast: f,
                     });
@@ -376,7 +377,7 @@ impl AdaptiveRunner {
     /// [`build_table_naive`](Self::build_table_naive), with every
     /// forecast and zone ranking derived from the shared scan structures.
     fn build_table_scanned(&self, scan: &PermutationScan) -> DecisionTable {
-        let mut table = DecisionTable::new();
+        let mut table = DecisionTable::new(self.base.zones.len());
         for &bid in &self.acfg.bid_grid {
             if bid > self.acfg.max_bid {
                 continue;
@@ -387,11 +388,12 @@ impl AdaptiveRunner {
                     continue;
                 }
                 let mask = scan.top_zones(bid_idx, n);
+                let group = table.add_group(&mask);
                 for &kind in &self.acfg.policy_kinds {
                     let f = scan.forecast(bid_idx, &mask, self.base.costs, kind);
-                    table.push(TableRow {
+                    table.rows.push(TableRow {
                         bid,
-                        mask: mask.clone(),
+                        group,
                         kind,
                         forecast: f,
                     });
@@ -412,14 +414,14 @@ impl AdaptiveRunner {
         remaining_time: SimDuration,
     ) -> Option<Permutation> {
         let mut best: Option<Permutation> = None;
-        for row in table {
+        for row in &table.rows {
             let cost = predicted_cost(
                 &row.forecast,
                 remaining_compute,
                 remaining_time,
                 self.base.costs,
             );
-            Self::consider(&mut best, row.bid, &row.mask, row.kind, cost);
+            Self::consider(&mut best, row.bid, table.mask(row.group), row.kind, cost);
         }
         best
     }

@@ -10,7 +10,7 @@ use redspot_trace::{Price, SimTime, ZoneId};
 use serde::{Deserialize, Serialize};
 
 /// One way of executing the experiment — a policy plus its zone setup.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Scheme {
     /// A Section-4 policy on a single zone at the configured bid.
     Single {
@@ -96,7 +96,7 @@ impl Scheme {
 }
 
 /// One simulation job: a scheme, at a bid, starting at an instant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct RunSpec {
     /// Experiment start time within the trace.
     pub start: SimTime,

@@ -1,10 +1,9 @@
 //! Sweep helpers: build run-spec batches for the evaluation grid and
 //! collect cost samples.
 
-use crate::exec::RunRequest;
 use crate::scheme::{RunSpec, Scheme};
 use crate::setup::PaperSetup;
-use redspot_core::{ExperimentConfig, PolicyKind, RunResult};
+use redspot_core::{ExperimentConfig, PolicyKind};
 use redspot_trace::vol::Volatility;
 use redspot_trace::{Price, TraceSet, ZoneId};
 
@@ -26,10 +25,9 @@ pub fn single_zone_costs(
     kind: PolicyKind,
     bid: Price,
 ) -> Vec<f64> {
-    let mkt = setup.ctx(vol);
     let mut specs = Vec::new();
     for start in setup.starts(vol, base.deadline) {
-        for zone in mkt.traces().zone_ids() {
+        for zone in setup.traces(vol).zone_ids() {
             specs.push(RunSpec {
                 start,
                 bid,
@@ -37,7 +35,7 @@ pub fn single_zone_costs(
             });
         }
     }
-    costs(execute(mkt, base, &specs, setup.threads))
+    setup.batch_costs(vol, base, specs)
 }
 
 /// Costs of a redundancy-based policy (all zones) at one bid.
@@ -48,8 +46,7 @@ pub fn redundant_costs(
     kind: PolicyKind,
     bid: Price,
 ) -> Vec<f64> {
-    let mkt = setup.ctx(vol);
-    let zones = all_zones(mkt.traces());
+    let zones = all_zones(setup.traces(vol));
     let specs: Vec<RunSpec> = setup
         .starts(vol, base.deadline)
         .into_iter()
@@ -62,12 +59,11 @@ pub fn redundant_costs(
             },
         })
         .collect();
-    costs(execute(mkt, base, &specs, setup.threads))
+    setup.batch_costs(vol, base, specs)
 }
 
 /// Costs of the Adaptive meta-policy.
 pub fn adaptive_costs(setup: &PaperSetup, vol: Volatility, base: &ExperimentConfig) -> Vec<f64> {
-    let mkt = setup.ctx(vol);
     let specs: Vec<RunSpec> = setup
         .starts(vol, base.deadline)
         .into_iter()
@@ -77,7 +73,7 @@ pub fn adaptive_costs(setup: &PaperSetup, vol: Volatility, base: &ExperimentConf
             scheme: Scheme::Adaptive,
         })
         .collect();
-    costs(execute(mkt, base, &specs, setup.threads))
+    setup.batch_costs(vol, base, specs)
 }
 
 /// Costs of Large-bid at one threshold (zones merged, like other
@@ -88,10 +84,9 @@ pub fn large_bid_costs(
     base: &ExperimentConfig,
     threshold: Option<Price>,
 ) -> Vec<f64> {
-    let mkt = setup.ctx(vol);
     let mut specs = Vec::new();
     for start in setup.starts(vol, base.deadline) {
-        for zone in mkt.traces().zone_ids() {
+        for zone in setup.traces(vol).zone_ids() {
             specs.push(RunSpec {
                 start,
                 bid: base.bid,
@@ -99,7 +94,7 @@ pub fn large_bid_costs(
             });
         }
     }
-    costs(execute(mkt, base, &specs, setup.threads))
+    setup.batch_costs(vol, base, specs)
 }
 
 /// Pick the entry with the lowest median from labeled cost samples —
@@ -113,27 +108,6 @@ pub fn best_by_median(candidates: Vec<(String, Vec<f64>)>) -> Option<(String, Ve
             let mb = crate::report::median(&b.1);
             ma.partial_cmp(&mb).expect("costs are finite")
         })
-}
-
-fn execute(
-    mkt: &redspot_core::MarketCtx,
-    base: &ExperimentConfig,
-    specs: &[RunSpec],
-    threads: usize,
-) -> Vec<RunResult> {
-    RunRequest::new(mkt, base, specs)
-        .threads(threads)
-        .execute()
-        .expect("sweep base config is valid")
-        .results
-}
-
-fn costs(results: Vec<RunResult>) -> Vec<f64> {
-    debug_assert!(
-        results.iter().all(|r| r.met_deadline),
-        "a run missed its deadline"
-    );
-    crate::report::dollars(&results)
 }
 
 #[cfg(test)]

@@ -35,6 +35,10 @@ impl StateSpace {
             .collect();
         levels.sort_unstable();
         levels.dedup();
+        // A 48-hour history has hundreds of samples but a few dozen
+        // levels, and a sweep's uptime memo keeps tens of thousands of
+        // models alive: release the rest of the buffer.
+        levels.shrink_to_fit();
         StateSpace {
             bin: bin_millis,
             levels,

@@ -39,6 +39,20 @@
 //! Lanes never mix, so padding lanes cannot reach a chain. Rust never
 //! contracts `a * b + c` into a fused multiply-add, so each term rounds
 //! the same way.
+//!
+//! # Chains that cannot be absorbed
+//!
+//! Before propagating, both queries find the up states from which some
+//! down state is reachable: a small fixpoint over the up rows. A chain
+//! that starts anywhere else never loses mass, so it gets the 30-day cap
+//! directly and never enters the kernel. This is exact. Every row is
+//! stochastic, so such a chain's survival after each step stays within
+//! rounding of 1, far above `Th`: the chain cannot stop early. After 600
+//! steps its per-step survival ratio is within rounding of 1 as well, so
+//! `r` clamps to 0.999 999 and the geometric tail adds about 10⁶ steps,
+//! far above the 8 640-step cap that the kernel's result would then be
+//! clamped to. Lanes never mix, so leaving the chain out of the batch
+//! changes no other chain's result.
 
 use crate::states::{StateSpace, DEFAULT_BIN_MILLIS};
 use crate::transition::TransitionMatrix;
@@ -121,7 +135,7 @@ impl MarkovModel {
         }
         let n_up = self.states.up_count(bid);
         match self.start_state(current_price, n_up) {
-            Some(start) => self.duration(self.expected_steps(&[start], n_up)[0]),
+            Some(start) => self.uptimes(&[start], n_up)[0],
             None => SimDuration::ZERO,
         }
     }
@@ -169,11 +183,61 @@ impl MarkovModel {
         }
         let starts: Vec<usize> = (0..n_up).collect();
         let total: u64 = self
-            .expected_steps(&starts, n_up)
+            .uptimes(&starts, n_up)
             .into_iter()
-            .map(|steps| self.duration(steps).secs())
+            .map(SimDuration::secs)
             .sum();
         SimDuration::from_secs(total / n_up as u64)
+    }
+
+    /// The capped expected up-time of one chain per entry of `starts`, in
+    /// `starts` order: the cap for a start that cannot reach a down state
+    /// (see the module docs), the kernel's answer for the rest.
+    fn uptimes(&self, starts: &[usize], n_up: usize) -> Vec<SimDuration> {
+        let escapes = self.escaping(n_up);
+        let live: Vec<usize> = starts.iter().copied().filter(|&s| escapes[s]).collect();
+        let mut steps = if live.is_empty() {
+            Vec::new()
+        } else {
+            self.expected_steps(&live, n_up)
+        }
+        .into_iter();
+        starts
+            .iter()
+            .map(|&s| {
+                self.duration(if escapes[s] {
+                    steps.next().expect("one result per live start")
+                } else {
+                    MAX_EXPECTED_STEPS
+                })
+            })
+            .collect()
+    }
+
+    /// Which up states `0..n_up` can reach a down state: those with a row
+    /// entry into a down state or into an up state that can. The sweeps
+    /// run downwards because down states lie above every up state, so
+    /// the few-level price moves of a real history settle in one or two.
+    fn escaping(&self, n_up: usize) -> Vec<bool> {
+        let mut escapes = vec![false; n_up];
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for i in (0..n_up).rev() {
+                if !escapes[i]
+                    && self
+                        .trans
+                        .row(i)
+                        .0
+                        .iter()
+                        .any(|&j| j as usize >= n_up || escapes[j as usize])
+                {
+                    escapes[i] = true;
+                    changed = true;
+                }
+            }
+        }
+        escapes
     }
 
     /// Expected surviving steps, capped, as a duration.
@@ -413,6 +477,35 @@ mod tests {
             dense.expected_steps(p(270), p(500)).map(f64::to_bits),
             Some(steps.to_bits())
         );
+    }
+
+    #[test]
+    fn trapped_start_gets_the_cap_without_the_kernel() {
+        // At a 600 bid, 270 and 310 can reach the down state 900. 200 is
+        // the last sample, never a source, so it keeps a self-loop; it is
+        // entered only from 900, so a chain started there is never
+        // absorbed and the others never reach it.
+        let hist = [270, 270, 900, 270, 310, 900, 200];
+        let m = model(&hist);
+        let bid = p(600);
+        let n_up = m.states.up_count(bid);
+        assert_eq!(m.escaping(n_up), [false, true, true]);
+        let cap = SimDuration::from_secs(PRICE_STEP * 8_640);
+        assert_eq!(m.expected_uptime(p(200), bid), cap);
+        assert!(m.expected_uptime(p(270), bid) < cap);
+        // The kernel would have run the trapped chain past the cap.
+        assert!(m.expected_steps(&[0], n_up)[0] > MAX_EXPECTED_STEPS);
+
+        let s = series(&hist);
+        let dense = DenseModel::with_bin(&s, Window::new(s.start(), s.end()), DEFAULT_BIN_MILLIS);
+        for current in [200, 270, 310] {
+            assert_eq!(
+                m.expected_uptime(p(current), bid),
+                dense.expected_uptime(p(current), bid),
+                "start {current}"
+            );
+        }
+        assert_eq!(m.average_uptime(bid), dense.average_uptime(bid));
     }
 
     /// Price levels the generated histories draw from.

@@ -62,3 +62,55 @@ fn experiments_headline_table_matches_the_golden() {
         "EXPERIMENTS.md headline table disagrees with the golden reproduction"
     );
 }
+
+/// The four medians (P, M, R, Adaptive) of each Figure 5 panel in the
+/// golden, in panel order.
+fn golden_fig5_medians() -> Vec<Vec<&'static str>> {
+    GOLDEN
+        .split("\nFigure 5(")
+        .skip(1)
+        .map(|panel| {
+            panel
+                .split("\n\n")
+                .next()
+                .expect("panel block")
+                .lines()
+                .filter_map(|line| line.split_once("med $"))
+                .map(|(_, med)| first_number(med).expect("median"))
+                .collect()
+        })
+        .collect()
+}
+
+/// The P, M, R and Adaptive columns of each row of EXPERIMENTS.md's
+/// Figure 5 table, bold markers stripped.
+fn documented_fig5_medians() -> Vec<Vec<&'static str>> {
+    let section = EXPERIMENTS
+        .split_once("## Figure 5 ")
+        .expect("EXPERIMENTS.md has a Figure 5 section")
+        .1;
+    let section = section.split("\n## ").next().unwrap_or(section);
+    section
+        .lines()
+        .filter(|line| line.starts_with("| ("))
+        .map(|row| {
+            row.split('|')
+                .skip(2) // leading empty cell and the panel name
+                .take(4)
+                .map(|cell| first_number(cell).expect("median"))
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn experiments_figure5_table_matches_the_golden() {
+    let golden = golden_fig5_medians();
+    assert_eq!(golden.len(), 8, "golden Figure 5 panels: {golden:?}");
+    assert!(golden.iter().all(|panel| panel.len() == 4), "{golden:?}");
+    assert_eq!(
+        documented_fig5_medians(),
+        golden,
+        "EXPERIMENTS.md Figure 5 table disagrees with the golden reproduction"
+    );
+}
