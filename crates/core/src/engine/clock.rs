@@ -197,7 +197,7 @@ impl<R: Recorder> Engine<R> {
             consider(c.done_at, self.now, &mut t);
         }
         consider(self.guard_time(), self.now, &mut t);
-        let alarm = self.with_ctx(|policy, ctx| policy.alarm(ctx));
+        let alarm = self.with_ctx(|policy, ctx| policy.alarm(ctx, t));
         if let Some(a) = alarm {
             consider(a, self.now, &mut t);
         }

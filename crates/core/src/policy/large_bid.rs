@@ -61,7 +61,7 @@ impl Policy for LargeBidPolicy {
         ctx.now >= trigger && ctx.price(leader) > self.threshold
     }
 
-    fn alarm(&self, ctx: &PolicyCtx) -> Option<SimTime> {
+    fn alarm(&mut self, ctx: &PolicyCtx, _before: SimTime) -> Option<SimTime> {
         let boundary = ctx.leader_boundary?;
         let t = boundary.saturating_sub(ctx.costs.checkpoint);
         (t > ctx.now).then_some(t)
@@ -79,7 +79,7 @@ impl Policy for LargeBidPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::test_util::ctx_fixture;
+    use crate::policy::test_util::{ctx_fixture, NO_HORIZON};
     use redspot_trace::{PriceSeries, TraceSet};
 
     fn m(v: u64) -> Price {
@@ -130,12 +130,15 @@ mod tests {
     #[test]
     fn alarm_points_at_hour_end_checkpoint_slot() {
         let fx = ctx_fixture();
-        let p = LargeBidPolicy::new(m(810));
+        let mut p = LargeBidPolicy::new(m(810));
         let boundary = SimTime::from_secs(7_200);
         let ctx = fx.ctx(SimTime::from_secs(4_000), Some(boundary));
-        assert_eq!(p.alarm(&ctx), Some(SimTime::from_secs(6_900)));
+        assert_eq!(p.alarm(&ctx, NO_HORIZON), Some(SimTime::from_secs(6_900)));
         assert_eq!(
-            p.alarm(&fx.ctx(SimTime::from_secs(7_000), Some(boundary))),
+            p.alarm(
+                &fx.ctx(SimTime::from_secs(7_000), Some(boundary)),
+                NO_HORIZON
+            ),
             None
         );
     }

@@ -149,7 +149,7 @@ impl Policy for MarkovDalyPolicy {
         self.ts = Some(ctx.now + interval);
     }
 
-    fn alarm(&self, ctx: &PolicyCtx) -> Option<SimTime> {
+    fn alarm(&mut self, ctx: &PolicyCtx, _before: SimTime) -> Option<SimTime> {
         self.ts.filter(|&t| t > ctx.now)
     }
 
@@ -161,7 +161,7 @@ impl Policy for MarkovDalyPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::test_util::ctx_fixture;
+    use crate::policy::test_util::{ctx_fixture, NO_HORIZON};
     use redspot_trace::{Price, PriceSeries, SimTime, TraceSet};
 
     #[test]
@@ -178,7 +178,7 @@ mod tests {
         assert!(ts > now + SimDuration::from_hours(2), "ts = {ts}");
         assert!(!p.checkpoint_now(&fx.ctx(now, None)));
         assert!(p.checkpoint_now(&fx.ctx(ts, None)));
-        assert_eq!(p.alarm(&fx.ctx(now, None)), Some(ts));
+        assert_eq!(p.alarm(&fx.ctx(now, None), NO_HORIZON), Some(ts));
     }
 
     #[test]

@@ -86,8 +86,10 @@ pub trait Policy: Send {
 
     /// The next instant this policy wants to be woken at (its scheduled
     /// checkpoint time `T_s`, a threshold expiry, …). The engine folds
-    /// this into its event horizon.
-    fn alarm(&self, _ctx: &PolicyCtx) -> Option<SimTime> {
+    /// this into its event horizon. `before` is that horizon without the
+    /// alarm: the engine ignores any alarm at or after it, so a policy may
+    /// return `None` instead of working out an alarm that late.
+    fn alarm(&mut self, _ctx: &PolicyCtx, _before: SimTime) -> Option<SimTime> {
         None
     }
 
@@ -194,6 +196,10 @@ pub(crate) mod test_util {
     use super::PolicyCtx;
     use redspot_ckpt::CkptCosts;
     use redspot_trace::{Price, PriceSeries, SimTime, TraceSet, ZoneId};
+
+    /// An event horizon past every alarm: [`super::Policy::alarm`] then
+    /// reports its alarm whenever it has one.
+    pub const NO_HORIZON: SimTime = SimTime::from_secs(u64::MAX);
 
     /// Owns the borrowed data a [`PolicyCtx`] needs, so policy unit tests
     /// can build contexts without an engine.

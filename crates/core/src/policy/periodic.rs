@@ -42,7 +42,7 @@ impl Policy for PeriodicPolicy {
         }
     }
 
-    fn alarm(&self, ctx: &PolicyCtx) -> Option<SimTime> {
+    fn alarm(&mut self, ctx: &PolicyCtx, _before: SimTime) -> Option<SimTime> {
         PeriodicPolicy::trigger_time(ctx).filter(|&t| t > ctx.now)
     }
 }
@@ -50,7 +50,7 @@ impl Policy for PeriodicPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::test_util::ctx_fixture;
+    use crate::policy::test_util::{ctx_fixture, NO_HORIZON};
     use redspot_trace::{SimDuration, SimTime};
 
     #[test]
@@ -61,11 +61,11 @@ mod tests {
 
         let ctx = fx.ctx(SimTime::from_secs(3_600), Some(boundary));
         assert!(!p.checkpoint_now(&ctx));
-        assert_eq!(p.alarm(&ctx), Some(SimTime::from_secs(6_900)));
+        assert_eq!(p.alarm(&ctx, NO_HORIZON), Some(SimTime::from_secs(6_900)));
 
         let ctx = fx.ctx(SimTime::from_secs(6_900), Some(boundary));
         assert!(p.checkpoint_now(&ctx));
-        assert_eq!(p.alarm(&ctx), None); // due now, no future alarm
+        assert_eq!(p.alarm(&ctx, NO_HORIZON), None); // due now, no future alarm
     }
 
     #[test]
@@ -74,7 +74,7 @@ mod tests {
         let mut p = PeriodicPolicy::new();
         let ctx = fx.ctx(SimTime::from_secs(6_900), None);
         assert!(!p.checkpoint_now(&ctx));
-        assert_eq!(p.alarm(&ctx), None);
+        assert_eq!(p.alarm(&ctx, NO_HORIZON), None);
     }
 
     #[test]

@@ -111,7 +111,7 @@ impl Policy for RandomizedBidPolicy {
         self.refresh(ctx);
     }
 
-    fn alarm(&self, ctx: &PolicyCtx) -> Option<SimTime> {
+    fn alarm(&mut self, ctx: &PolicyCtx, _before: SimTime) -> Option<SimTime> {
         // Wake at the checkpoint trigger or the next epoch roll-over,
         // whichever comes first, so a fresh draw lands on time even when
         // nothing else is scheduled.
@@ -128,7 +128,7 @@ impl Policy for RandomizedBidPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::test_util::ctx_fixture;
+    use crate::policy::test_util::{ctx_fixture, NO_HORIZON};
     use redspot_trace::SimTime;
 
     #[test]
@@ -201,12 +201,12 @@ mod tests {
     #[test]
     fn alarm_covers_the_epoch_rollover() {
         let fx = ctx_fixture();
-        let p = RandomizedBidPolicy::new(3);
+        let mut p = RandomizedBidPolicy::new(3);
         // No boundary: still wakes at the next epoch for a fresh draw.
         let ctx = fx.ctx(SimTime::from_secs(100), None);
-        assert_eq!(p.alarm(&ctx), Some(SimTime::from_secs(3_600)));
+        assert_eq!(p.alarm(&ctx, NO_HORIZON), Some(SimTime::from_secs(3_600)));
         // With a checkpoint trigger sooner, that wins.
         let ctx = fx.ctx(SimTime::from_secs(100), Some(SimTime::from_secs(3_000)));
-        assert_eq!(p.alarm(&ctx), Some(SimTime::from_secs(2_700)));
+        assert_eq!(p.alarm(&ctx, NO_HORIZON), Some(SimTime::from_secs(2_700)));
     }
 }

@@ -106,7 +106,7 @@ impl Policy for SpotOnPolicy {
         self.ts = Some(ctx.now + Self::young_interval(ctx.costs.checkpoint, mtbf));
     }
 
-    fn alarm(&self, ctx: &PolicyCtx) -> Option<SimTime> {
+    fn alarm(&mut self, ctx: &PolicyCtx, _before: SimTime) -> Option<SimTime> {
         self.ts.filter(|&t| t > ctx.now)
     }
 
@@ -125,7 +125,7 @@ impl Policy for SpotOnPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::test_util::ctx_fixture;
+    use crate::policy::test_util::{ctx_fixture, NO_HORIZON};
     use redspot_trace::{Price, PriceSeries, SimTime, TraceSet};
 
     fn m(v: u64) -> Price {
@@ -143,7 +143,7 @@ mod tests {
         assert!(ts > now + SimDuration::from_hours(2), "ts = {ts}");
         assert!(!p.checkpoint_now(&fx.ctx(now, None)));
         assert!(p.checkpoint_now(&fx.ctx(ts, None)));
-        assert_eq!(p.alarm(&fx.ctx(now, None)), Some(ts));
+        assert_eq!(p.alarm(&fx.ctx(now, None), NO_HORIZON), Some(ts));
     }
 
     #[test]

@@ -6,20 +6,31 @@
 //!    `PriceThresh = (S_min + B) / 2`, or
 //! 2. the time executed at bid `B` since the last checkpoint/restart
 //!    exceeds `TimeThresh`, the probabilistic average up-time of the zone.
+//!
+//! The rule only ever *compares* `TimeThresh` with an elapsed time, so
+//! the policy holds it as an [`AverageUptime`]: a lower bound refined
+//! only as far as each comparison needs, which decides every comparison
+//! exactly as the eager average would (see [`redspot_markov::uptime`]).
+//! Most are decided within a few propagation steps.
 
 use crate::policy::markov_daly::{HISTORY, MARKOV_BIN_MILLIS};
 use crate::policy::{Policy, PolicyCtx};
-use redspot_markov::{MarkovModel, UptimeMemo};
+use redspot_markov::{AverageUptime, MarkovModel, UptimeMemo};
 use redspot_trace::{Price, SimDuration, SimTime, Window};
 use std::sync::Arc;
+
+/// The shortest `TimeThresh` that arms condition 2 (a zero average
+/// up-time means nothing is affordable), and how long after its expiry
+/// the alarm fires.
+const ONE_SEC: SimDuration = SimDuration::from_secs(1);
 
 /// Edge checkpointing filtered by price and time thresholds.
 pub struct ThresholdPolicy {
     /// Running minimum observed price per configured zone.
     min_price: Vec<Price>,
     /// `TimeThresh`: probabilistic average up-time, refreshed at each
-    /// reschedule.
-    time_thresh: Option<SimDuration>,
+    /// reschedule and refined lazily.
+    time_thresh: Option<AverageUptime>,
     /// Edge dedup, as in [`crate::policy::EdgePolicy`].
     last_step: Option<u64>,
     /// Batch-shared model/uptime cache ([`Policy::attach_uptime_memo`]).
@@ -37,9 +48,11 @@ impl ThresholdPolicy {
         }
     }
 
-    /// Current `TimeThresh` (exposed for tests).
-    pub fn time_thresh(&self) -> Option<SimDuration> {
-        self.time_thresh
+    /// Current `TimeThresh`, refined to its exact value; `None` when no
+    /// zone is affordable (exposed for tests).
+    pub fn time_thresh(&mut self) -> Option<SimDuration> {
+        let tt = self.time_thresh.as_mut()?.exact();
+        (tt > SimDuration::ZERO).then_some(tt)
     }
 
     fn observe_prices(&mut self, ctx: &PolicyCtx) {
@@ -69,9 +82,11 @@ impl Policy for ThresholdPolicy {
     fn checkpoint_now(&mut self, ctx: &PolicyCtx) -> bool {
         self.observe_prices(ctx);
 
-        // Condition 2: executed longer than the zone's average up-time.
-        if let Some(tt) = self.time_thresh {
-            if ctx.now.since(ctx.last_commit_or_restart) > tt {
+        // Condition 2: executed longer than the zone's average up-time,
+        // if that is positive.
+        if let Some(tt) = &mut self.time_thresh {
+            let elapsed = ctx.now.since(ctx.last_commit_or_restart);
+            if !tt.at_least(elapsed) && tt.at_least(ONE_SEC) {
                 return true;
             }
         }
@@ -101,25 +116,27 @@ impl Policy for ThresholdPolicy {
         }
         let window = Window::new(hist_start, ctx.now);
         let series = ctx.traces.zone(ctx.zone_ids[zone]);
-        let avg = match &self.memo {
-            Some(memo) => memo.average_uptime(
-                ctx.zone_ids[zone].0,
-                series,
-                window,
-                MARKOV_BIN_MILLIS,
-                ctx.bid,
-            ),
-            None => {
-                MarkovModel::with_bin(series, window, MARKOV_BIN_MILLIS).average_uptime(ctx.bid)
-            }
+        let model = match &self.memo {
+            Some(memo) => memo.model(ctx.zone_ids[zone].0, series, window, MARKOV_BIN_MILLIS),
+            None => Arc::new(MarkovModel::with_bin(series, window, MARKOV_BIN_MILLIS)),
         };
-        self.time_thresh = (avg > SimDuration::ZERO).then_some(avg);
+        self.time_thresh = Some(AverageUptime::new(model, ctx.bid));
     }
 
-    fn alarm(&self, ctx: &PolicyCtx) -> Option<SimTime> {
-        let tt = self.time_thresh?;
-        let t = ctx.last_commit_or_restart + tt + SimDuration::from_secs(1);
-        (t > ctx.now).then_some(t)
+    fn alarm(&mut self, ctx: &PolicyCtx, before: SimTime) -> Option<SimTime> {
+        // The expiry `last + TimeThresh + 1 s` matters only if it falls
+        // before `before`, i.e. if TimeThresh < before − last − 1 s:
+        // refine that far and no further.
+        let tt = self.time_thresh.as_mut()?;
+        let horizon = before
+            .since(ctx.last_commit_or_restart)
+            .checked_sub(ONE_SEC)?;
+        if tt.at_least(horizon) {
+            return None;
+        }
+        let tt = tt.exact();
+        let t = ctx.last_commit_or_restart + tt + ONE_SEC;
+        (tt > SimDuration::ZERO && t > ctx.now).then_some(t)
     }
 
     fn attach_uptime_memo(&mut self, memo: &Arc<UptimeMemo>) {
@@ -130,8 +147,8 @@ impl Policy for ThresholdPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::test_util::ctx_fixture;
-    use redspot_trace::{PriceSeries, SimTime, TraceSet};
+    use crate::policy::test_util::{ctx_fixture, Fixture, NO_HORIZON};
+    use redspot_trace::{PriceSeries, SimTime, TraceSet, ZoneId};
 
     fn m(v: u64) -> Price {
         Price::from_millis(v)
@@ -181,7 +198,7 @@ mod tests {
         // Alarm points just past the expiry.
         let early = fx.ctx(SimTime::ZERO, None);
         assert_eq!(
-            p.alarm(&early),
+            p.alarm(&early, NO_HORIZON),
             Some(SimTime::ZERO + tt + SimDuration::from_secs(1))
         );
     }
@@ -193,6 +210,107 @@ mod tests {
         let mut p = ThresholdPolicy::new();
         p.reschedule(&fx.ctx(SimTime::from_hours(4), None));
         assert_eq!(p.time_thresh(), None);
-        assert_eq!(p.alarm(&fx.ctx(SimTime::from_hours(4), None)), None);
+        for before in [SimTime::from_hours(5), NO_HORIZON] {
+            assert_eq!(p.alarm(&fx.ctx(SimTime::from_hours(4), None), before), None);
+        }
+    }
+
+    /// Zone 0 spikes out of bid every hour, so `TimeThresh` is a real
+    /// average, not the 30-day cap. The last commit is at hour 4, when the
+    /// policy reschedules; no zone is up, so condition 1 stays silent.
+    fn spiky() -> Fixture {
+        let mut fx = ctx_fixture();
+        let z: Vec<Price> = (0..480)
+            .map(|i| {
+                m(match i % 12 {
+                    5 => 900,
+                    6 | 7 => 310,
+                    _ => 270,
+                })
+            })
+            .collect();
+        let flat = fx.traces.zone(ZoneId(1)).clone();
+        fx.traces = TraceSet::new(vec![PriceSeries::new(SimTime::ZERO, z), flat.clone(), flat]);
+        fx.up = vec![false; 3];
+        fx.last_commit_or_restart = SimTime::from_hours(4);
+        fx
+    }
+
+    /// The eager `TimeThresh` of the policy rescheduled at hour 4.
+    fn eager_time_thresh(fx: &Fixture) -> SimDuration {
+        let window = Window::new(SimTime::ZERO, SimTime::from_hours(4));
+        MarkovModel::with_bin(fx.traces.zone(ZoneId(0)), window, MARKOV_BIN_MILLIS)
+            .average_uptime(fx.bid)
+    }
+
+    #[test]
+    fn alarm_is_the_eager_alarm_whenever_it_beats_the_horizon() {
+        let fx = spiky();
+        let last = fx.last_commit_or_restart;
+        let tt = eager_time_thresh(&fx);
+        assert!(
+            tt > SimDuration::ZERO && tt < SimDuration::from_hours(24),
+            "{tt}"
+        );
+        let expiry = last + tt + ONE_SEC;
+        let secs = |t: SimTime, d: i64| SimTime::from_secs(t.secs().saturating_add_signed(d));
+        // One long-lived policy sees every query in turn; a fresh one per
+        // query starts from an unrefined bound.
+        let mut shared = ThresholdPolicy::new();
+        shared.reschedule(&fx.ctx(last, None));
+        for now in [
+            last,
+            secs(expiry, -2),
+            secs(expiry, -1),
+            expiry,
+            secs(expiry, 1),
+        ] {
+            let eager = Some(expiry).filter(|&t| t > now);
+            for before in [
+                last,
+                secs(last, 1),
+                secs(last, 2),
+                secs(last, 300),
+                secs(expiry, -1),
+                expiry,
+                secs(expiry, 1),
+                secs(expiry, 2),
+                NO_HORIZON,
+            ] {
+                let want = eager.filter(|&t| t < before);
+                let mut fresh = ThresholdPolicy::new();
+                fresh.reschedule(&fx.ctx(last, None));
+                assert_eq!(
+                    fresh.alarm(&fx.ctx(now, None), before),
+                    want,
+                    "{now} {before}"
+                );
+                assert_eq!(
+                    shared.alarm(&fx.ctx(now, None), before),
+                    want,
+                    "{now} {before}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn condition_two_fires_at_the_eager_instants() {
+        let fx = spiky();
+        let last = fx.last_commit_or_restart;
+        let tt = eager_time_thresh(&fx);
+        let mut shared = ThresholdPolicy::new();
+        shared.reschedule(&fx.ctx(last, None));
+        let probe = |p: &mut ThresholdPolicy, elapsed: u64| {
+            p.checkpoint_now(&fx.ctx(last + SimDuration::from_secs(elapsed), None))
+        };
+        let t = tt.secs();
+        for elapsed in [0, 1, 300, t / 2, t - 1, t, t + 1, t + 2, t + 3_600, t / 3] {
+            let want = elapsed > t;
+            let mut fresh = ThresholdPolicy::new();
+            fresh.reschedule(&fx.ctx(last, None));
+            assert_eq!(probe(&mut fresh, elapsed), want, "elapsed {elapsed}");
+            assert_eq!(probe(&mut shared, elapsed), want, "elapsed {elapsed}");
+        }
     }
 }

@@ -19,4 +19,4 @@ pub mod uptime;
 pub use memo::{MemoStats, UptimeMemo};
 pub use states::{StateSpace, DEFAULT_BIN_MILLIS};
 pub use transition::TransitionMatrix;
-pub use uptime::MarkovModel;
+pub use uptime::{AverageUptime, MarkovModel};

@@ -4,9 +4,20 @@
 //! transition model and up to 600 masked propagation steps through it
 //! (see [`crate::uptime`]). Across a sweep's cells those models and
 //! estimates repeat heavily — runs at overlapping starts walk the same
-//! absolute history windows — so a [`UptimeMemo`] caches both layers:
-//! built [`MarkovModel`]s, and the scalar expected/average-uptime results
-//! queried from them.
+//! absolute history windows — so a [`UptimeMemo`] caches built
+//! [`MarkovModel`]s, and the expected-uptime scalars queried from them.
+//!
+//! # Averages are refined, not memoised
+//!
+//! The Threshold policy's `TimeThresh` (the average up-time) is not a
+//! memoised scalar. The policy takes only the model from here and holds
+//! an [`AverageUptime`](crate::AverageUptime) over it: a lower bound that
+//! propagates just the steps each comparison needs. That stays exact
+//! without a shared scalar. Each chain's survival sum only grows, by
+//! non-negative terms, so the bound never exceeds the eager average; and
+//! run to the end it performs the eager float operations, so it *is* the
+//! eager average. A comparison the bound decides is therefore the
+//! comparison the eager value would have decided.
 //!
 //! # Keying and determinism
 //!
@@ -70,18 +81,12 @@ impl ModelKey {
     }
 }
 
-/// A scalar uptime query against one model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Query {
-    /// `expected_uptime(current_price, bid)`.
-    Expected(Price, Price),
-    /// `average_uptime(bid)` (the Threshold policy's `TimeThresh`).
-    Average(Price),
-}
+/// An `expected_uptime(current_price, bid)` query against one model.
+type Query = (ModelKey, Price, Price);
 
 /// Snapshot of a [`UptimeMemo`]'s counters. Hits and misses count scalar
-/// uptime queries (the expensive chain propagation); `entries` counts
-/// cached scalars across all shards.
+/// expected-uptime queries (the expensive chain propagation); `entries`
+/// counts cached scalars across all shards.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoStats {
     /// Scalar queries answered from the cache.
@@ -105,12 +110,13 @@ impl MemoStats {
 }
 
 /// Thread-safe two-level cache over [`MarkovModel`]: built models keyed
-/// by their sample range, and uptime scalars keyed by `(model, query)`.
+/// by their sample range, and expected-uptime scalars keyed by `(model,
+/// current price, bid)`.
 /// See the module docs for the determinism and scoping contract.
 #[derive(Debug, Default)]
 pub struct UptimeMemo {
     models: [Mutex<HashMap<ModelKey, Arc<MarkovModel>>>; N_SHARDS],
-    scalars: [Mutex<HashMap<(ModelKey, Query), SimDuration>>; N_SHARDS],
+    scalars: [Mutex<HashMap<Query, SimDuration>>; N_SHARDS],
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -156,26 +162,25 @@ impl UptimeMemo {
             return SimDuration::ZERO;
         }
         let key = ModelKey::of(zone, series, window, bin_millis);
-        self.scalar(
-            key,
-            Query::Expected(current_price, bid),
-            series,
-            window,
-            bin_millis,
-        )
-    }
-
-    /// Memoized [`MarkovModel::average_uptime`] of the model for `window`.
-    pub fn average_uptime(
-        &self,
-        zone: usize,
-        series: &PriceSeries,
-        window: Window,
-        bin_millis: u64,
-        bid: Price,
-    ) -> SimDuration {
-        let key = ModelKey::of(zone, series, window, bin_millis);
-        self.scalar(key, Query::Average(bid), series, window, bin_millis)
+        let query = (key, current_price, bid);
+        let shard = key.shard();
+        if let Some(&v) = self.scalars[shard]
+            .lock()
+            .expect("memo shard poisoned")
+            .get(&query)
+        {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return v;
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let v = self
+            .model_for(key, series, window, bin_millis)
+            .expected_uptime(current_price, bid);
+        self.scalars[shard]
+            .lock()
+            .expect("memo shard poisoned")
+            .insert(query, v);
+        v
     }
 
     /// Counter snapshot.
@@ -189,36 +194,6 @@ impl UptimeMemo {
                 .map(|s| s.lock().expect("memo shard poisoned").len())
                 .sum(),
         }
-    }
-
-    fn scalar(
-        &self,
-        key: ModelKey,
-        query: Query,
-        series: &PriceSeries,
-        window: Window,
-        bin_millis: u64,
-    ) -> SimDuration {
-        let shard = key.shard();
-        if let Some(&v) = self.scalars[shard]
-            .lock()
-            .expect("memo shard poisoned")
-            .get(&(key, query))
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return v;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let model = self.model_for(key, series, window, bin_millis);
-        let v = match query {
-            Query::Expected(price, bid) => model.expected_uptime(price, bid),
-            Query::Average(bid) => model.average_uptime(bid),
-        };
-        self.scalars[shard]
-            .lock()
-            .expect("memo shard poisoned")
-            .insert((key, query), v);
-        v
     }
 
     fn model_for(
@@ -252,6 +227,7 @@ impl UptimeMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AverageUptime;
     use redspot_trace::SimTime;
 
     fn p(m: u64) -> Price {
@@ -274,7 +250,7 @@ mod tests {
                 direct.expected_uptime(p(270), p(bid))
             );
             assert_eq!(
-                memo.average_uptime(0, &s, w, 50, p(bid)),
+                AverageUptime::new(memo.model(0, &s, w, 50), p(bid)).exact(),
                 direct.average_uptime(p(bid))
             );
         }

@@ -8,22 +8,26 @@
 //!
 //! # The propagation kernel
 //!
-//! Both queries run one private Chapman–Kolmogorov kernel over a set of
+//! Every query runs one private Chapman–Kolmogorov kernel over a set of
 //! *chains*, one per start state: [`MarkovModel::expected_uptime`] runs
-//! one chain, [`MarkovModel::average_uptime`] one per up state, all in
-//! lock-step. Up states are a prefix of the sorted price levels
-//! ([`StateSpace::up_count`]), so only the first rows of the sparse
-//! transition matrix ([`TransitionMatrix`]) are ever sources.
+//! one chain, [`AverageUptime`] (and [`MarkovModel::average_uptime`])
+//! one per up state, all in lock-step. Up states are a prefix of the
+//! sorted price levels ([`StateSpace::up_count`]), so only the first rows
+//! of the sparse transition matrix ([`TransitionMatrix`]) are ever
+//! sources.
 //!
 //! Mass lives in a state-major `[state][lane]` buffer pair that
 //! ping-pongs between steps. Lane `c` of a row holds chain `c`'s mass in
 //! that state; the live chains are padded with massless lanes to a whole
-//! number of four-lane blocks. Each up source row's non-zeros are applied
-//! to every live chain in one contiguous inner loop over the row's
-//! blocks, and each block's surviving mass is summed in registers. Each
-//! chain keeps its own survival sum, `Th` cut-off, geometric tail after
-//! 600 exact steps and 8 640-step (30-day) cap. A finished chain's column
-//! is dropped and the buffer repacked to the chains still live.
+//! number of blocks. The block width is a const generic: a lone chain
+//! runs one lane, a batch four. Each up source row's non-zeros are
+//! applied to every live chain in one contiguous inner loop over the
+//! row's blocks, and each block's surviving mass is summed in registers.
+//! Each chain keeps its own survival sum, `Th` cut-off, geometric tail
+//! after 600 exact steps and 8 640-step (30-day) cap. A finished chain's
+//! column is dropped and the buffer repacked to the chains still live.
+//! The propagation is resumable: it advances one step per call, so a
+//! caller can stop as soon as it has learnt what it needs.
 //!
 //! # Why it is exact
 //!
@@ -36,13 +40,13 @@
 //! are zero matrix entries; the terms it adds that the dense walk skips
 //! come from sources without mass. Either way each such term is `+0.0`,
 //! and adding `+0.0` to a non-negative finite sum leaves it unchanged.
-//! Lanes never mix, so padding lanes cannot reach a chain. Rust never
-//! contracts `a * b + c` into a fused multiply-add, so each term rounds
-//! the same way.
+//! Lanes never mix, so neither padding lanes nor the block width can
+//! reach a chain. Rust never contracts `a * b + c` into a fused
+//! multiply-add, so each term rounds the same way.
 //!
 //! # Chains that cannot be absorbed
 //!
-//! Before propagating, both queries find the up states from which some
+//! Before propagating, every query finds the up states from which some
 //! down state is reachable: a small fixpoint over the up rows. A chain
 //! that starts anywhere else never loses mass, so it gets the 30-day cap
 //! directly and never enters the kernel. This is exact. Every row is
@@ -53,10 +57,35 @@
 //! far above the 8 640-step cap that the kernel's result would then be
 //! clamped to. Lanes never mix, so leaving the chain out of the batch
 //! changes no other chain's result.
+//!
+//! # The lazy average
+//!
+//! The Threshold policy only ever *compares* its `TimeThresh` (the
+//! average up-time) with an elapsed time, and almost every comparison is
+//! decided long before the chains finish. [`AverageUptime`] therefore
+//! keeps the propagation open and refines it only until a comparison is
+//! decided. Its lower bound is the integer mean over the up states of
+//! `duration(min(partial sum, cap))`, with trapped chains at the cap.
+//! This bound is exact in both senses that matter:
+//!
+//! - *It never exceeds the eager result.* A chain's survival sum only
+//!   ever adds non-negative terms, and IEEE addition of a non-negative
+//!   term never decreases a sum; the geometric tail is non-negative too.
+//!   Rounding to seconds, the cap and the integer mean are monotone, so
+//!   the bound never decreases and never passes the final value.
+//! - *Run to the end, it is the eager result.* Refining performs exactly
+//!   the float operations of a run to completion, in the same order, so
+//!   the final bound is that result bit for bit — it *is*
+//!   [`MarkovModel::average_uptime`], which runs the same type to the end.
+//!
+//! Hence `at_least(d)` — refine until the bound reaches `d` or the chains
+//! finish — answers `average_uptime >= d` exactly.
 
 use crate::states::{StateSpace, DEFAULT_BIN_MILLIS};
 use crate::transition::TransitionMatrix;
 use redspot_trace::{Price, PriceSeries, SimDuration, Window};
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// A per-zone Markov price model built from a history window.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,11 +101,12 @@ pub struct MarkovModel {
 /// burn thousands of matrix-vector products per query.
 pub(crate) const EXACT_STEPS: usize = 600;
 
-/// Chains propagate in blocks of this many lanes. A fixed-width block
-/// keeps its arithmetic in registers instead of a loop over a run-time
-/// length. Four lanes suit both a lone chain (three of them massless) and
-/// a full lock-step batch: on 48-hour windows eight lanes made the lone
-/// chain slower, two made both slower.
+/// Batched chains propagate in blocks of this many lanes. A fixed-width
+/// block keeps its arithmetic in registers instead of a loop over a
+/// run-time length; on 48-hour windows eight lanes were slower for a
+/// batch, two slower still. A lone chain runs a one-lane block instead:
+/// in a four-lane block three of its lanes are massless padding, and one
+/// lane takes it in under half the time.
 const LANES: usize = 4;
 
 /// Cap on the expected up-time: 30 days of 5-minute steps. Beyond this the
@@ -135,7 +165,10 @@ impl MarkovModel {
         }
         let n_up = self.states.up_count(bid);
         match self.start_state(current_price, n_up) {
-            Some(start) => self.uptimes(&[start], n_up)[0],
+            Some(start) if self.escaping(n_up)[start] => {
+                self.duration(self.expected_steps(&[start], n_up)[0])
+            }
+            Some(_) => self.duration(MAX_EXPECTED_STEPS),
             None => SimDuration::ZERO,
         }
     }
@@ -170,48 +203,15 @@ impl MarkovModel {
             .fold(SimDuration::ZERO, |a, b| a + b)
     }
 
-    /// Probabilistic average up-time across all starting states weighted
-    /// by their empirical frequency — the Threshold policy's `TimeThresh`.
+    /// Probabilistic average up-time across all up starting states, each
+    /// weighted equally — the Threshold policy's `TimeThresh`. The
+    /// run-to-completion case of [`AverageUptime`].
     pub fn average_uptime(&self, bid: Price) -> SimDuration {
         // Weight each up state equally by its appearance in the state
         // space; a frequency-weighted version would need the raw history,
         // and the uniform version is what the Threshold description needs:
         // "the probabilistic average up time of a zone".
-        let n_up = self.states.up_count(bid);
-        if n_up == 0 {
-            return SimDuration::ZERO;
-        }
-        let starts: Vec<usize> = (0..n_up).collect();
-        let total: u64 = self
-            .uptimes(&starts, n_up)
-            .into_iter()
-            .map(SimDuration::secs)
-            .sum();
-        SimDuration::from_secs(total / n_up as u64)
-    }
-
-    /// The capped expected up-time of one chain per entry of `starts`, in
-    /// `starts` order: the cap for a start that cannot reach a down state
-    /// (see the module docs), the kernel's answer for the rest.
-    fn uptimes(&self, starts: &[usize], n_up: usize) -> Vec<SimDuration> {
-        let escapes = self.escaping(n_up);
-        let live: Vec<usize> = starts.iter().copied().filter(|&s| escapes[s]).collect();
-        let mut steps = if live.is_empty() {
-            Vec::new()
-        } else {
-            self.expected_steps(&live, n_up)
-        }
-        .into_iter();
-        starts
-            .iter()
-            .map(|&s| {
-                self.duration(if escapes[s] {
-                    steps.next().expect("one result per live start")
-                } else {
-                    MAX_EXPECTED_STEPS
-                })
-            })
-            .collect()
+        AverageUptime::new(self, bid).exact()
     }
 
     /// Which up states `0..n_up` can reach a down state: those with a row
@@ -246,109 +246,266 @@ impl MarkovModel {
         SimDuration::from_secs((steps * self.step_secs as f64).round() as u64)
     }
 
-    /// The propagation kernel (see the module docs): for one chain per
-    /// entry of `starts`, each starting with all its mass in that state,
-    /// the uncapped `E[steps up] = Σ_k (probability still alive after k
-    /// steps)`, in `starts` order. States `0..n_up` are up.
+    /// The kernel run to completion (see the module docs): for one chain
+    /// per entry of `starts`, each starting with all its mass in that
+    /// state, the uncapped `E[steps up] = Σ_k (probability still alive
+    /// after k steps)`, in `starts` order. States `0..n_up` are up. A lone
+    /// chain runs one lane, a batch [`LANES`].
     fn expected_steps(&self, starts: &[usize], n_up: usize) -> Vec<f64> {
-        let n = self.states.len();
-        // Seconds granularity (Th).
-        let tol = 1.0 / self.step_secs as f64;
-        // `[state][lane]` mass: the `live` unfinished chains, padded with
-        // massless lanes to `stride`, a whole number of blocks.
-        let mut live = starts.len();
-        let mut stride = live.next_multiple_of(LANES);
+        if starts.len() == 1 {
+            self.propagate::<1>(starts, n_up)
+        } else {
+            self.propagate::<LANES>(starts, n_up)
+        }
+    }
+
+    /// [`MarkovModel::expected_steps`] in blocks of `L` lanes.
+    fn propagate<const L: usize>(&self, starts: &[usize], n_up: usize) -> Vec<f64> {
+        let mut prop = Propagation::<L>::new(self, starts, n_up);
+        while !prop.done() {
+            prop.step(&self.trans);
+        }
+        prop.steps
+    }
+}
+
+/// The resumable lock-step kernel over blocks of `L` lanes: one chain
+/// per start state, advanced one Chapman–Kolmogorov step per
+/// [`Propagation::step`].
+#[derive(Debug)]
+struct Propagation<const L: usize> {
+    /// States, of which `0..n_up` are up.
+    n: usize,
+    n_up: usize,
+    /// Seconds granularity (Th), in steps.
+    tol: f64,
+    /// Steps taken so far.
+    k: usize,
+    /// Unfinished chains, and the lanes per state row: `live` padded to
+    /// a whole number of blocks.
+    live: usize,
+    stride: usize,
+    /// `[state][lane]` mass before and after the current step.
+    cur: Vec<f64>,
+    next: Vec<f64>,
+    /// Per live chain: its index in `starts`, and its survival after the
+    /// previous step.
+    chain: Vec<usize>,
+    prev_alive: Vec<f64>,
+    /// Survival after the current step, per lane.
+    alive: Vec<f64>,
+    kept_cols: Vec<usize>,
+    /// Per start: the survival summed so far — a lower bound on the
+    /// chain's result, and that result once the chain has finished.
+    steps: Vec<f64>,
+}
+
+impl<const L: usize> Propagation<L> {
+    fn new(model: &MarkovModel, starts: &[usize], n_up: usize) -> Propagation<L> {
+        let n = model.states.len();
+        let live = starts.len();
+        let stride = live.next_multiple_of(L);
         let mut cur = vec![0.0f64; n * stride];
-        let mut next = vec![0.0f64; n * stride];
         for (c, &s) in starts.iter().enumerate() {
             cur[s * stride + c] = 1.0;
         }
-        // Per live chain: its index in `starts`, its running sum, and its
-        // survival after the previous and (per lane) the current step.
-        let mut chain: Vec<usize> = (0..live).collect();
-        let mut sum = vec![0.0f64; live];
-        let mut prev_alive = vec![1.0f64; live];
-        let mut alive = vec![0.0f64; stride];
-        let mut kept_cols = Vec::with_capacity(live);
-        let mut out = vec![0.0f64; live];
-        for k in 0..EXACT_STEPS {
-            // One Chapman–Kolmogorov step restricted to up sources (Eq. 2):
-            // mass sitting in a down state is absorbed.
-            let next_live = &mut next[..n * stride];
-            next_live.fill(0.0);
-            for (i, src) in cur[..n_up * stride].chunks_exact(stride).enumerate() {
-                if src.iter().all(|&mass| mass == 0.0) {
-                    continue;
-                }
-                let (cols, vals) = self.trans.row(i);
+        Propagation {
+            n,
+            n_up,
+            tol: 1.0 / model.step_secs as f64,
+            k: 0,
+            live,
+            stride,
+            next: vec![0.0f64; cur.len()],
+            cur,
+            chain: (0..live).collect(),
+            prev_alive: vec![1.0f64; live],
+            alive: vec![0.0f64; stride],
+            kept_cols: Vec::with_capacity(live),
+            steps: vec![0.0f64; live],
+        }
+    }
+
+    /// Whether every chain has finished.
+    fn done(&self) -> bool {
+        self.live == 0
+    }
+
+    /// Advance every live chain by one step. After step 600 every chain
+    /// still live takes its geometric tail and finishes.
+    fn step(&mut self, trans: &TransitionMatrix) {
+        let (n, stride) = (self.n, self.stride);
+        // One Chapman–Kolmogorov step restricted to up sources (Eq. 2):
+        // mass sitting in a down state is absorbed.
+        let next_live = &mut self.next[..n * stride];
+        next_live.fill(0.0);
+        for (i, src) in self.cur[..self.n_up * stride]
+            .chunks_exact(stride)
+            .enumerate()
+        {
+            if src.iter().all(|&mass| mass == 0.0) {
+                continue;
+            }
+            let (cols, vals) = trans.row(i);
+            if L == 1 {
+                // The block loop below written out for one lane: the
+                // compiler does not reduce the generic form this far.
                 for (&j, &p) in cols.iter().zip(vals) {
-                    let j = j as usize * stride;
-                    let dst = &mut next_live[j..j + stride];
-                    for (d, s) in dst.chunks_exact_mut(LANES).zip(src.chunks_exact(LANES)) {
-                        for l in 0..LANES {
-                            d[l] += s[l] * p;
-                        }
+                    next_live[j as usize] += src[0] * p;
+                }
+                continue;
+            }
+            for (&j, &p) in cols.iter().zip(vals) {
+                let j = j as usize * stride;
+                let dst = &mut next_live[j..j + stride];
+                for (d, s) in dst.chunks_exact_mut(L).zip(src.chunks_exact(L)) {
+                    for l in 0..L {
+                        d[l] += s[l] * p;
                     }
                 }
             }
-            // Surviving mass per lane, summed in ascending state order.
-            for (b, a) in alive[..stride].chunks_exact_mut(LANES).enumerate() {
-                let mut acc = [0.0f64; LANES];
+        }
+        // Surviving mass per lane, summed in ascending state order.
+        if L == 1 {
+            self.alive[0] = next_live.iter().fold(0.0f64, |acc, &mass| acc + mass);
+        } else {
+            for (b, a) in self.alive[..stride].chunks_exact_mut(L).enumerate() {
+                let mut acc = [0.0f64; L];
                 for row in next_live.chunks_exact(stride) {
-                    let row = &row[b * LANES..b * LANES + LANES];
-                    for l in 0..LANES {
+                    let row = &row[b * L..b * L + L];
+                    for l in 0..L {
                         acc[l] += row[l];
                     }
                 }
                 a.copy_from_slice(&acc);
             }
+        }
 
-            kept_cols.clear();
-            for c in 0..live {
-                let s = sum[c] + alive[c];
-                if alive[c] < tol {
-                    out[chain[c]] = s;
-                    continue;
-                }
-                let w = kept_cols.len();
-                sum[w] = if k + 1 == EXACT_STEPS {
-                    // Geometric tail: survival decays roughly by a constant
-                    // per-step ratio once the distribution has mixed; the
-                    // remaining sum is alive · r / (1 − r).
-                    let r = (alive[c] / prev_alive[c]).clamp(0.0, 0.999_999);
-                    s + alive[c] * r / (1.0 - r)
-                } else {
-                    s
-                };
-                chain[w] = chain[c];
-                prev_alive[w] = alive[c];
-                kept_cols.push(c);
+        self.k += 1;
+        let last = self.k == EXACT_STEPS;
+        self.kept_cols.clear();
+        for c in 0..self.live {
+            let alive = self.alive[c];
+            let sum = &mut self.steps[self.chain[c]];
+            *sum += alive;
+            if alive < self.tol {
+                continue;
             }
-            if kept_cols.len() < live {
-                // Drop the finished chains' columns and repack in place:
-                // every write lands at or before the entries still to be
-                // read. Padding lanes are zeroed so they stay massless.
-                let kept = kept_cols.len();
-                let kept_stride = kept.next_multiple_of(LANES);
-                for j in 0..n {
-                    let row = j * kept_stride;
-                    for (w, &c) in kept_cols.iter().enumerate() {
-                        next[row + w] = next[j * stride + c];
-                    }
-                    next[row + kept..row + kept_stride].fill(0.0);
-                }
-                live = kept;
-                stride = kept_stride;
-                if live == 0 {
-                    break;
-                }
+            if last {
+                // Geometric tail: survival decays roughly by a constant
+                // per-step ratio once the distribution has mixed; the
+                // remaining sum is alive · r / (1 − r).
+                let r = (alive / self.prev_alive[c]).clamp(0.0, 0.999_999);
+                *sum += alive * r / (1.0 - r);
+                continue;
             }
-            std::mem::swap(&mut cur, &mut next);
+            let w = self.kept_cols.len();
+            self.chain[w] = self.chain[c];
+            self.prev_alive[w] = alive;
+            self.kept_cols.push(c);
         }
-        for c in 0..live {
-            out[chain[c]] = sum[c];
+        let kept = self.kept_cols.len();
+        if kept < self.live {
+            // Drop the finished chains' columns and repack in place:
+            // every write lands at or before the entries still to be
+            // read. Padding lanes are zeroed so they stay massless.
+            let kept_stride = kept.next_multiple_of(L);
+            for j in 0..n {
+                let row = j * kept_stride;
+                for (w, &c) in self.kept_cols.iter().enumerate() {
+                    self.next[row + w] = self.next[j * stride + c];
+                }
+                self.next[row + kept..row + kept_stride].fill(0.0);
+            }
+            self.live = kept;
+            self.stride = kept_stride;
         }
-        out
+        std::mem::swap(&mut self.cur, &mut self.next);
+    }
+}
+
+/// The average up-time at a bid ([`MarkovModel::average_uptime`]),
+/// refined lazily: a certified lower bound that propagates only as many
+/// steps as a comparison needs, and reaches the eager value bit for bit
+/// when run to the end (see the module docs). `M` holds the model: an
+/// `Arc` for a bound that outlives its caller's borrow, a reference for
+/// one that does not.
+///
+/// ```
+/// use redspot_markov::{AverageUptime, MarkovModel};
+/// use redspot_trace::{Price, PriceSeries, SimDuration, SimTime, Window};
+/// use std::sync::Arc;
+/// let prices = [270, 310, 900, 270, 310, 270].map(Price::from_millis);
+/// let series = PriceSeries::new(SimTime::ZERO, prices.to_vec());
+/// let model = Arc::new(MarkovModel::from_series(&series, Window::new(series.start(), series.end())));
+/// let bid = Price::from_millis(500);
+/// let mut avg = AverageUptime::new(Arc::clone(&model), bid);
+/// assert!(avg.at_least(SimDuration::from_secs(1)));
+/// assert_eq!(avg.exact(), model.average_uptime(bid));
+/// ```
+#[derive(Debug)]
+pub struct AverageUptime<M = Arc<MarkovModel>> {
+    model: M,
+    /// One chain per up state that can reach a down state.
+    prop: Propagation<LANES>,
+    /// Up states: the number of chains the mean is taken over.
+    n_up: u64,
+    /// Seconds contributed by the trapped chains, each at the cap.
+    trapped_secs: u64,
+    /// The current lower bound: never above the exact value, never
+    /// decreasing, and equal to the exact value once the chains finish.
+    lower: SimDuration,
+}
+
+impl<M: Deref<Target = MarkovModel>> AverageUptime<M> {
+    /// Start the bound for `bid`; no step is propagated yet.
+    pub fn new(model: M, bid: Price) -> AverageUptime<M> {
+        let n_up = model.states.up_count(bid);
+        let escapes = model.escaping(n_up);
+        let live: Vec<usize> = (0..n_up).filter(|&s| escapes[s]).collect();
+        let trapped = (n_up - live.len()) as u64;
+        let mut avg = AverageUptime {
+            prop: Propagation::new(&model, &live, n_up),
+            n_up: n_up as u64,
+            trapped_secs: trapped * model.duration(MAX_EXPECTED_STEPS).secs(),
+            lower: SimDuration::ZERO,
+            model,
+        };
+        avg.lower = avg.bound();
+        avg
+    }
+
+    /// Whether the average up-time is at least `d`, refining the bound
+    /// only as far as that takes.
+    pub fn at_least(&mut self, d: SimDuration) -> bool {
+        while self.lower < d && !self.prop.done() {
+            self.prop.step(&self.model.trans);
+            self.lower = self.bound();
+        }
+        self.lower >= d
+    }
+
+    /// The average up-time itself: the bound run to the end.
+    pub fn exact(&mut self) -> SimDuration {
+        while !self.prop.done() {
+            self.prop.step(&self.model.trans);
+        }
+        self.lower = self.bound();
+        self.lower
+    }
+
+    /// The integer mean of every chain's capped duration so far.
+    fn bound(&self) -> SimDuration {
+        if self.n_up == 0 {
+            return SimDuration::ZERO;
+        }
+        let propagated: u64 = self
+            .prop
+            .steps
+            .iter()
+            .map(|&s| self.model.duration(s).secs())
+            .sum();
+        SimDuration::from_secs((self.trapped_secs + propagated) / self.n_up)
     }
 }
 
@@ -527,6 +684,19 @@ mod tests {
         })
     }
 
+    /// A bid below, inside or above the levels of `hist`, as
+    /// `kernel_matches_dense_oracle` draws them.
+    fn bid_for(hist: &[u64], bid_mode: u64, raw: u64) -> Price {
+        let lo = *hist.iter().min().unwrap();
+        let hi = *hist.iter().max().unwrap();
+        p(match bid_mode {
+            0 => lo.saturating_sub(1 + raw % 100),
+            1 => hist[raw as usize % hist.len()] + raw % 25,
+            2 => hi + raw,
+            _ => 200 + raw,
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -594,6 +764,71 @@ mod tests {
                     .flatten()
                     .map(|s| m.expected_steps(&[s], n_up)[0]);
                 prop_assert_eq!(steps.map(f64::to_bits), dense.expected_steps(current, bid).map(f64::to_bits));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// The lazy average answers every comparison as the eager one
+        /// does, under any interleaving of thresholds: its bound never
+        /// decreases, never exceeds the eager value, and runs to exactly
+        /// the eager (and dense oracle's) value.
+        #[test]
+        fn lazy_average_is_exact(
+            hist in history(),
+            wide_bins in 0u64..2,
+            bid_mode in 0u64..4,
+            raw in 0u64..3_000,
+            probes in proptest::collection::vec((0u64..3, 0u64..2_600_000), 0..12),
+        ) {
+            let bin = if wide_bins == 1 { 50 } else { 10 };
+            let s = series(&hist);
+            let w = Window::new(s.start(), s.end());
+            let m = Arc::new(MarkovModel::with_bin(&s, w, bin));
+            let bid = bid_for(&hist, bid_mode, raw);
+            let eager = m.average_uptime(bid);
+            let dense = DenseModel::with_bin(&s, w, bin).average_uptime(bid);
+            prop_assert_eq!(eager, dense);
+
+            let mut lazy = AverageUptime::new(Arc::clone(&m), bid);
+            let mut last = lazy.lower;
+            for (mode, secs) in probes {
+                // Arbitrary thresholds, fractions of the answer, and the
+                // answer give or take two seconds.
+                let d = SimDuration::from_secs(match mode {
+                    0 => secs,
+                    1 => eager.secs() * (secs % 17) / 8,
+                    _ => (eager.secs() + secs % 5).saturating_sub(2),
+                });
+                prop_assert_eq!(lazy.at_least(d), eager >= d, "threshold {}", d);
+                let lower = lazy.lower;
+                prop_assert!(last <= lower && lower <= eager, "{} -> {} vs {}", last, lower, eager);
+                last = lower;
+            }
+            prop_assert_eq!(lazy.exact(), eager);
+            prop_assert_eq!(lazy.lower, eager);
+        }
+
+        /// A lone chain on one lane is bit-identical to the same chain
+        /// inside a four-lane batch.
+        #[test]
+        fn one_lane_matches_four_lane_batch(
+            hist in history(),
+            wide_bins in 0u64..2,
+            bid_mode in 0u64..4,
+            raw in 0u64..3_000,
+        ) {
+            let bin = if wide_bins == 1 { 50 } else { 10 };
+            let s = series(&hist);
+            let m = MarkovModel::with_bin(&s, Window::new(s.start(), s.end()), bin);
+            let n_up = m.states.up_count(bid_for(&hist, bid_mode, raw));
+            let starts: Vec<usize> = (0..n_up).collect();
+            let batch = m.propagate::<LANES>(&starts, n_up);
+            for (&start, &steps) in starts.iter().zip(&batch) {
+                let lone = m.propagate::<1>(&[start], n_up)[0];
+                prop_assert_eq!(lone.to_bits(), steps.to_bits(), "start {}", start);
             }
         }
     }

@@ -114,3 +114,79 @@ fn experiments_figure5_table_matches_the_golden() {
         "EXPERIMENTS.md Figure 5 table disagrees with the golden reproduction"
     );
 }
+
+/// Each row of Figure 6 panel `panel` in the golden, as `(label,
+/// median)`: `("L=$0.81", "6.26")`, …, `("Adaptive", "6.04")`.
+fn golden_fig6_medians(panel: char) -> Vec<(&'static str, &'static str)> {
+    GOLDEN
+        .split_once(&format!("\nFigure 6({panel})"))
+        .expect("golden has the Figure 6 panel")
+        .1
+        .split("\n\n")
+        .next()
+        .expect("panel block")
+        .lines()
+        .filter_map(|line| {
+            let (label, med) = line.split_once("med $")?;
+            Some((label.split_whitespace().next()?, first_number(med)?))
+        })
+        .collect()
+}
+
+/// The golden median of the row labelled `label`.
+fn golden_median(rows: &[(&'static str, &'static str)], label: &str) -> &'static str {
+    rows.iter()
+        .find(|(l, _)| *l == label)
+        .unwrap_or_else(|| panic!("no row {label} in {rows:?}"))
+        .1
+}
+
+/// The dollar amounts of the measured column of EXPERIMENTS.md's Figure 6
+/// row `row`, leaving out Large-bid thresholds (`L ≥ $0.81`, `L = $0.27`).
+fn documented_fig6_medians(row: &str) -> Vec<&'static str> {
+    let section = EXPERIMENTS
+        .split_once("## Figure 6 ")
+        .expect("EXPERIMENTS.md has a Figure 6 section")
+        .1;
+    let section = section.split("\n## ").next().unwrap_or(section);
+    let line = section
+        .lines()
+        .find(|line| line.starts_with(&format!("| {row} |")))
+        .unwrap_or_else(|| panic!("Figure 6 table has a {row} row"));
+    let measured = line.trim_end_matches('|').rsplit('|').next().expect("cell");
+    measured
+        .match_indices('$')
+        .filter(|&(at, _)| !["L ≥ ", "L = "].iter().any(|t| measured[..at].ends_with(t)))
+        .map(|(at, _)| first_number(&measured[at..]).expect("amount"))
+        .collect()
+}
+
+#[test]
+fn experiments_figure6_medians_match_the_golden() {
+    // Low: "every L ≥ $0.81 $6.26, A $6.04 (L = $0.27 … $48.00)".
+    let low = golden_fig6_medians('a');
+    let large_bids = ["L=$0.81", "L=$2.40", "L=$5.00", "L=Max", "L=Naive"];
+    let every_l = golden_median(&low, large_bids[0]);
+    for label in large_bids {
+        assert_eq!(golden_median(&low, label), every_l, "Figure 6(a) {label}");
+    }
+    assert_eq!(
+        documented_fig6_medians("Low volatility"),
+        [
+            every_l,
+            golden_median(&low, "Adaptive"),
+            golden_median(&low, "L=$0.27")
+        ],
+        "EXPERIMENTS.md Figure 6 low-volatility medians disagree with the golden"
+    );
+
+    // High: "L(Max/Naive) med $14.96 < A $29.56".
+    let high = golden_fig6_medians('b');
+    let max = golden_median(&high, "L=Max");
+    assert_eq!(golden_median(&high, "L=Naive"), max, "Figure 6(b) Naive");
+    assert_eq!(
+        documented_fig6_medians("High volatility"),
+        [max, golden_median(&high, "Adaptive")],
+        "EXPERIMENTS.md Figure 6 high-volatility medians disagree with the golden"
+    );
+}
