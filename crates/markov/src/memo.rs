@@ -25,10 +25,13 @@
 //! cache keys on the *sample index range* the history window covers
 //! ([`PriceSeries::window_indices`]), not on the window's raw seconds:
 //! two runs whose reschedules land at different offsets inside the same
-//! 5-minute price step still hit the same entry. Cached values are
-//! reused verbatim — a memoized query returns bit-identical results to
-//! an unmemoized one, which is what lets the batch plane promise equal
-//! `RunResult`s with the cache on or off.
+//! 5-minute price step still hit the same entry. A scalar keys on its
+//! model and on the chain the query reduces to (start state, up count),
+//! not on the raw prices: two current prices in one quantization bin,
+//! or two bids between the same price levels, share an entry. Cached
+//! values are reused verbatim — a memoized query returns bit-identical
+//! results to an unmemoized one, which is what lets the batch plane
+//! promise equal `RunResult`s with the cache on or off.
 //!
 //! # Scope
 //!
@@ -36,7 +39,7 @@
 //! must never be shared across markets; the batch plane enforces this by
 //! owning one memo per `MarketCtx`.
 
-use crate::uptime::MarkovModel;
+use crate::uptime::{Chain, MarkovModel};
 use redspot_trace::{Price, PriceSeries, SimDuration, Window};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -81,8 +84,9 @@ impl ModelKey {
     }
 }
 
-/// An `expected_uptime(current_price, bid)` query against one model.
-type Query = (ModelKey, Price, Price);
+/// An expected-uptime query reduced to what its answer depends on: the
+/// model and the one chain propagated through it.
+type Query = (ModelKey, Chain);
 
 /// Snapshot of a [`UptimeMemo`]'s counters. Hits and misses count scalar
 /// expected-uptime queries (the expensive chain propagation); `entries`
@@ -111,7 +115,8 @@ impl MemoStats {
 
 /// Thread-safe two-level cache over [`MarkovModel`]: built models keyed
 /// by their sample range, and expected-uptime scalars keyed by `(model,
-/// current price, bid)`.
+/// start state, up count)`, the chain a `(current price, bid)` query
+/// reduces to.
 /// See the module docs for the determinism and scoping contract.
 #[derive(Debug, Default)]
 pub struct UptimeMemo {
@@ -162,7 +167,11 @@ impl UptimeMemo {
             return SimDuration::ZERO;
         }
         let key = ModelKey::of(zone, series, window, bin_millis);
-        let query = (key, current_price, bid);
+        let model = self.model_for(key, series, window, bin_millis);
+        let Some(chain) = model.chain(current_price, bid) else {
+            return SimDuration::ZERO;
+        };
+        let query = (key, chain);
         let shard = key.shard();
         if let Some(&v) = self.scalars[shard]
             .lock()
@@ -173,9 +182,7 @@ impl UptimeMemo {
             return v;
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let v = self
-            .model_for(key, series, window, bin_millis)
-            .expected_uptime(current_price, bid);
+        let v = model.chain_uptime(chain);
         self.scalars[shard]
             .lock()
             .expect("memo shard poisoned")
@@ -278,6 +285,27 @@ mod tests {
         memo.expected_uptime(0, &s, Window::new(t(0), t(1_537)), 50, p(270), p(500));
         memo.expected_uptime(0, &s, Window::new(t(13), t(1_641)), 50, p(270), p(500));
         assert_eq!(memo.stats().hits, 1);
+    }
+
+    #[test]
+    fn queries_that_reduce_to_one_chain_share_an_entry() {
+        // 5-cent bins; levels 250, 300, 500 and 900.
+        let s = series(&[270, 310, 500, 270, 900, 310, 270, 500, 900, 270]);
+        let w = Window::new(s.start(), s.end());
+        let direct = MarkovModel::with_bin(&s, w, 50);
+        let memo = UptimeMemo::new();
+        // Two current prices in the 250 bin.
+        let a = memo.expected_uptime(0, &s, w, 50, p(260), p(600));
+        let b = memo.expected_uptime(0, &s, w, 50, p(290), p(600));
+        // Two bids with the same three up states.
+        let c = memo.expected_uptime(0, &s, w, 50, p(290), p(810));
+        assert_eq!((a, b, c), (direct.expected_uptime(p(260), p(600)), a, a));
+        assert_eq!(direct.expected_uptime(p(290), p(810)), c);
+        let st = memo.stats();
+        assert_eq!((st.hits, st.misses, st.entries), (2, 1, 1));
+        // A different up count is a different chain.
+        memo.expected_uptime(0, &s, w, 50, p(290), p(950));
+        assert_eq!(memo.stats().entries, 2);
     }
 
     #[test]

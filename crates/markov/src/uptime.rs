@@ -87,6 +87,14 @@ use redspot_trace::{Price, PriceSeries, SimDuration, Window};
 use std::ops::Deref;
 use std::sync::Arc;
 
+/// One expected-uptime chain of a model: all mass starts in state
+/// `start`, and states `0..n_up` are up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct Chain {
+    start: usize,
+    n_up: usize,
+}
+
 /// A per-zone Markov price model built from a history window.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MarkovModel {
@@ -160,16 +168,30 @@ impl MarkovModel {
     /// spot price and a bid (Eq. 3). Zero when the zone is already
     /// out-of-bid.
     pub fn expected_uptime(&self, current_price: Price, bid: Price) -> SimDuration {
+        self.chain(current_price, bid)
+            .map_or(SimDuration::ZERO, |chain| self.chain_uptime(chain))
+    }
+
+    /// The one chain an [`expected_uptime`](Self::expected_uptime) query
+    /// propagates, or `None` when the answer is zero without one (the
+    /// zone is out of bid, or no state is up). Queries with equal chains
+    /// have equal answers, which is what the memo keys on.
+    pub(crate) fn chain(&self, current_price: Price, bid: Price) -> Option<Chain> {
         if current_price > bid {
-            return SimDuration::ZERO;
+            return None;
         }
         let n_up = self.states.up_count(bid);
-        match self.start_state(current_price, n_up) {
-            Some(start) if self.escaping(n_up)[start] => {
-                self.duration(self.expected_steps(&[start], n_up)[0])
-            }
-            Some(_) => self.duration(MAX_EXPECTED_STEPS),
-            None => SimDuration::ZERO,
+        let start = self.start_state(current_price, n_up)?;
+        Some(Chain { start, n_up })
+    }
+
+    /// Expected up-time of `chain`: [`expected_uptime`](Self::expected_uptime)
+    /// of any query that reduces to it.
+    pub(crate) fn chain_uptime(&self, Chain { start, n_up }: Chain) -> SimDuration {
+        if self.escaping(n_up)[start] {
+            self.duration(self.expected_steps(&[start], n_up)[0])
+        } else {
+            self.duration(MAX_EXPECTED_STEPS)
         }
     }
 

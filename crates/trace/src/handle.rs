@@ -7,8 +7,11 @@
 //! constructor that used to take `&TraceSet` now takes
 //! `impl Into<TraceHandle>`, and the `From<&TraceSet>` impl below makes
 //! the old call shape compile. Converting from a reference clones the
-//! set — O(zones), not O(samples), because per-zone samples already live
-//! behind their own `Arc` (see [`crate::PriceSeries`]).
+//! set: one allocation plus an `Arc` bump per zone. The copy shares each
+//! zone's samples *and* the change-point index derived from them (both
+//! live in one allocation, see [`crate::PriceSeries`]), so it never
+//! rebuilds anything the original built or will build. Hosts that
+//! already hold a handle should clone the handle, a single `Arc` bump.
 
 use crate::TraceSet;
 use std::ops::Deref;

@@ -42,9 +42,14 @@ impl Client {
         }
     }
 
-    /// Send one request line, return the reply line.
+    /// Send one request line, return the reply line. The line goes out in
+    /// one write: `writeln!` would send the newline as a second small
+    /// segment, which Nagle's algorithm holds until the first is acked.
     fn roundtrip(&mut self, request: &str) -> String {
-        writeln!(self.reader.get_mut(), "{request}").expect("send request");
+        self.reader
+            .get_mut()
+            .write_all(format!("{request}\n").as_bytes())
+            .expect("send request");
         let mut reply = String::new();
         self.reader.read_line(&mut reply).expect("read reply");
         reply.trim_end().to_string()
